@@ -60,6 +60,16 @@ def _frame_class(name: str) -> FrameClass:
         raise _UsageError(str(exc)) from exc
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, not {text!r}")
+    return value
+
+
 def cmd_mc(args) -> int:
     model = _load_model(args.model)
     f = _parse_formula(args.formula)
@@ -173,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="frame class name (default K)")
         p.add_argument(f"--{verdict}", default=None,
                        help=f"write the found {verdict} to this file")
-        p.add_argument("--budget", type=int, default=10**6,
+        p.add_argument("--budget", type=_budget, default=10**6,
                        help="tableau work budget (default 1000000)")
         p.set_defaults(fn=fn)
 
@@ -215,6 +225,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"kwl: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("kwl: input too deeply nested", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

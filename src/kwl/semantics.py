@@ -70,6 +70,7 @@ _CLASS_REQUIREMENTS = {
     FrameClass.S5: frozenset({_P.REFLEXIVE, _P.EUCLIDEAN}),
     FrameClass.PF: frozenset({_P.PARTIAL_FUNCTIONAL}),
 }
+_EMPTY: frozenset[str] = frozenset()
 
 
 class ModelError(ValueError):
@@ -103,13 +104,15 @@ class KripkeModel:
         for agent, pairs in rel.items():
             if agent not in self.agents:
                 raise ModelError(f"relation for undeclared agent {agent!r}")
-            pairs = frozenset((s, t) for s, t in pairs)
-            for s, t in pairs:
+            self.rel[agent] = frozenset((s, t) for s, t in pairs)
+        self.succ: dict[str, dict[str, frozenset[str]]] = {}  # agent -> world -> successors
+        for agent in self.agents:
+            succ = {w: [] for w in self.worlds}
+            for s, t in self.rel.setdefault(agent, frozenset()):
                 if s not in wset or t not in wset:
                     raise ModelError(f"edge ({s!r}, {t!r}) mentions an unknown world")
-            self.rel[agent] = pairs
-        for agent in self.agents:
-            self.rel.setdefault(agent, frozenset())
+                succ[s].append(t)
+            self.succ[agent] = {w: frozenset(ts) for w, ts in succ.items()}
         self.val: dict[str, frozenset[str]] = {}
         for prop, where in val.items():
             where = frozenset(where)
@@ -121,7 +124,7 @@ class KripkeModel:
         self.point = point
 
     def successors(self, agent: str, world: str) -> frozenset[str]:
-        return frozenset(t for s, t in self.rel.get(agent, ()) if s == world)
+        return self.succ.get(agent, {}).get(world, _EMPTY)
 
     def frame_props(self) -> set["FrameProperty"]:
         return frame_properties(self)
@@ -160,15 +163,27 @@ class KripkeModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KripkeModel":
+        if not isinstance(data, dict):
+            raise ModelError("malformed model document: not an object")
         try:
-            worlds = data["worlds"]
-            agents = data["agents"]
-            rel = {a: [tuple(e) for e in edges] for a, edges in data.get("rel", {}).items()}
-            val = data.get("val", {})
-            point = data.get("point")
-        except (TypeError, KeyError) as exc:
+            worlds, agents = data["worlds"], data["agents"]
+        except KeyError as exc:
             raise ModelError(f"malformed model document: {exc}") from None
-        return cls(worlds, agents, rel, val, point=point)
+        rel, val, point = data.get("rel", {}), data.get("val", {}), data.get("point")
+        for ok, what in (
+                (_is_names(worlds), "worlds must be a list of strings"),
+                (_is_names(agents), "agents must be a list of strings"),
+                (isinstance(rel, dict) and all(isinstance(edges, list) and all(
+                    isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                    and isinstance(e[1], str) for e in edges) for edges in rel.values()),
+                 "rel must map each agent to a list of [source, target] world pairs"),
+                (isinstance(val, dict) and all(map(_is_names, val.values())),
+                 "val must map each proposition to a list of worlds"),
+                ("point" not in data or isinstance(point, str), "point must be a world")):
+            if not ok:
+                raise ModelError(f"malformed model document: {what}")
+        return cls(worlds, agents, {a: [tuple(e) for e in edges] for a, edges in rel.items()},
+                   val, point=point)
 
     @classmethod
     def from_json(cls, text: str) -> "KripkeModel":
@@ -184,85 +199,98 @@ def load_model(path) -> KripkeModel:
         return KripkeModel.from_json(fh.read())
 
 
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 # ---------------------------------------------------------------------------
 # model checking
 
 
 def mc(model: KripkeModel, world: str, f: Formula) -> bool:
-    """Truth of f at world.  Announcements restrict the model on the fly;
-    the restriction is only entered when the announcement holds at world,
-    so it is never empty."""
+    """Truth of f at world."""
     if world not in model.worlds:
         raise ModelError(f"unknown world {world!r}")
-    return _mc(model, world, f)
-
-
-def _mc(m: KripkeModel, w: str, f: Formula) -> bool:
-    match f:
-        case Top():
-            return True
-        case Bot():
-            return False
-        case Prop(name):
-            return w in m.val.get(name, frozenset())
-        case Not(sub):
-            return not _mc(m, w, sub)
-        case And(a, b):
-            return _mc(m, w, a) and _mc(m, w, b)
-        case Or(a, b):
-            return _mc(m, w, a) or _mc(m, w, b)
-        case Implies(a, b):
-            return (not _mc(m, w, a)) or _mc(m, w, b)
-        case Iff(a, b):
-            return _mc(m, w, a) == _mc(m, w, b)
-        case K(agent, sub):
-            return all(_mc(m, t, sub) for t in m.successors(agent, w))
-        case Kw(agent, sub):
-            values = {_mc(m, t, sub) for t in m.successors(agent, w)}
-            return len(values) <= 1
-        case Announce(announced, body):
-            if not _mc(m, w, announced):
-                return True
-            sub = restrict(m, announced)
-            assert sub is not None
-            return _mc(sub, w, body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def restrict(model: KripkeModel, f: Formula) -> Optional[KripkeModel]:
-    """Submodel on the worlds satisfying f, or None when no world does."""
-    keep = [w for w in model.worlds if _mc(model, w, f)]
-    if not keep:
-        return None
-    kset = set(keep)
-    return KripkeModel(
-        keep,
-        model.agents,
-        {a: [(s, t) for s, t in pairs if s in kset and t in kset]
-         for a, pairs in model.rel.items()},
-        {p: where & kset for p, where in model.val.items()},
-        point=model.point if model.point in kset else None,
-    )
+    return bool(_ext(model, f, frozenset((world,)), {}))
 
 
 def model_valid(model: KripkeModel, f: Formula) -> bool:
-    return all(_mc(model, w, f) for w in model.worlds)
+    return len(_ext(model, f, frozenset(model.worlds), {})) == len(model.worlds)
+
+
+def restrict(model: KripkeModel, f: Formula, *, _memo: Optional[dict] = None) -> Optional[KripkeModel]:
+    """Submodel on the worlds satisfying f, or None when no world does."""
+    keep = _ext(model, f, frozenset(model.worlds), {} if _memo is None else _memo)
+    if not keep:
+        return None
+    return KripkeModel(
+        [w for w in model.worlds if w in keep],
+        model.agents,
+        {a: [(s, t) for s, t in pairs if s in keep and t in keep]
+         for a, pairs in model.rel.items()},
+        {p: where & keep for p, where in model.val.items()},
+        point=model.point if model.point in keep else None,
+    )
+
+
+def _ext(m: KripkeModel, f: Formula, ws: frozenset[str], memo: dict) -> frozenset[str]:
+    """The worlds of ws where f holds in m.  The right side of And/Or/Implies
+    is evaluated on the worlds its left side leaves open, the argument of
+    K[i]/Kw[i] once on all successors of ws.  memo maps (id of a model,
+    announced formula) to the restriction, for one top-level call."""
+    if not ws:
+        return ws
+    # an if-chain on the exact type: class patterns in a match cost twice as much
+    kind = type(f)
+    if kind is Prop:
+        return ws & m.val.get(f.name, _EMPTY)
+    if kind is K or kind is Kw:
+        succ = m.succ.get(f.agent)
+        if succ is None:  # an agent the model does not know sees nothing
+            return ws
+        holds = _ext(m, f.sub, _EMPTY.union(*map(succ.__getitem__, ws)), memo)
+        return frozenset(w for w in ws if succ[w] <= holds
+                         or kind is Kw and succ[w].isdisjoint(holds))
+    if kind is Not:
+        return ws - _ext(m, f.sub, ws, memo)
+    if kind is And:
+        return _ext(m, f.right, _ext(m, f.left, ws, memo), memo)
+    if kind is Or:
+        left = _ext(m, f.left, ws, memo)
+        return left | _ext(m, f.right, ws - left, memo)
+    if kind is Implies:
+        left = _ext(m, f.left, ws, memo)
+        return (ws - left) | _ext(m, f.right, left, memo)
+    if kind is Iff:
+        return ws - (_ext(m, f.left, ws, memo) ^ _ext(m, f.right, ws, memo))
+    if kind is Top:
+        return ws
+    if kind is Bot:
+        return _EMPTY
+    if kind is Announce:
+        held = _ext(m, f.announced, ws, memo)
+        if not held:
+            return ws
+        key = (id(m), f.announced)
+        if key not in memo:
+            memo[key] = restrict(m, f.announced, _memo=memo)
+        return (ws - held) | _ext(memo[key], f.body, held, memo)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def frame_valid(model: KripkeModel, f: Formula, *, max_bits: int = 20) -> bool:
     """Truth of f at every world under every valuation of its propositions
     over the model's frame.  Exhaustive, so the number of proposition/world
-    bits is capped."""
-    props = sorted(props_of(f))
-    bits = len(props) * len(model.worlds)
+    bits is capped.  One model of the frame takes each valuation in turn."""
+    props, n = sorted(props_of(f)), len(model.worlds)
+    bits = len(props) * n
     if bits > max_bits:
         raise ValueError(f"{bits} valuation bits exceed the cap of {max_bits}")
+    candidate = KripkeModel(model.worlds, model.agents, model.rel, {})
     for mask in range(1 << bits):
-        val = {}
-        for i, p in enumerate(props):
-            chunk = (mask >> (i * len(model.worlds)))
-            val[p] = [w for j, w in enumerate(model.worlds) if (chunk >> j) & 1]
-        candidate = KripkeModel(model.worlds, model.agents, model.rel, val)
+        candidate.val = {p: frozenset(w for j, w in enumerate(model.worlds)
+                                      if mask >> (i * n + j) & 1)
+                         for i, p in enumerate(props)}
         if not model_valid(candidate, f):
             return False
     return True
@@ -272,34 +300,19 @@ def frame_valid(model: KripkeModel, f: Formula, *, max_bits: int = 20) -> bool:
 # frame properties
 
 
-def _relation_properties(worlds: tuple[str, ...], pairs: frozenset) -> set[FrameProperty]:
-    succ = {w: set() for w in worlds}
-    for s, t in pairs:
-        succ[s].add(t)
-    props = set()
-    if all(succ[w] for w in worlds):
-        props.add(FrameProperty.SERIAL)
-    if all(w in succ[w] for w in worlds):
-        props.add(FrameProperty.REFLEXIVE)
-    if all((t, s) in pairs for s, t in pairs):
-        props.add(FrameProperty.SYMMETRIC)
-    if all(u in succ[s] for s, t in pairs for u in succ[t]):
-        props.add(FrameProperty.TRANSITIVE)
-    if all(u in succ[t] for s in worlds for t in succ[s] for u in succ[s]):
-        # sRt and sRu imply tRu
-        props.add(FrameProperty.EUCLIDEAN)
-    if all(len(succ[w]) <= 1 for w in worlds):
-        props.add(FrameProperty.PARTIAL_FUNCTIONAL)
-    return props
-
-
 def frame_properties(model: KripkeModel) -> set[FrameProperty]:
     """Properties holding for every agent's relation."""
-    out = None
-    for agent in model.agents:
-        props = _relation_properties(model.worlds, model.rel[agent])
-        out = props if out is None else out & props
-    return out if out is not None else set(FrameProperty)
+    ws = model.worlds
+    tests = {
+        FrameProperty.SERIAL: lambda succ: all(succ[w] for w in ws),
+        FrameProperty.REFLEXIVE: lambda succ: all(w in succ[w] for w in ws),
+        FrameProperty.SYMMETRIC: lambda succ: all(s in succ[t] for s in ws for t in succ[s]),
+        FrameProperty.TRANSITIVE: lambda succ: all(succ[t] <= succ[s] for s in ws for t in succ[s]),
+        # sRt and sRu imply tRu
+        FrameProperty.EUCLIDEAN: lambda succ: all(succ[s] <= succ[t] for s in ws for t in succ[s]),
+        FrameProperty.PARTIAL_FUNCTIONAL: lambda succ: all(len(succ[w]) <= 1 for w in ws),
+    }
+    return {p for p, holds in tests.items() if all(holds(model.succ[a]) for a in model.agents)}
 
 
 def satisfies_class(model: KripkeModel, frame_class: FrameClass) -> bool:

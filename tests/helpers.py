@@ -10,6 +10,7 @@ from kwl.formula import (
     TOP,
     And,
     Announce,
+    Bot,
     Formula,
     Iff,
     Implies,
@@ -19,6 +20,8 @@ from kwl.formula import (
     Not,
     Or,
     Prop,
+    Top,
+    props_of,
 )
 from kwl.semantics import FrameClass, FrameProperty, KripkeModel, satisfies_class
 
@@ -140,3 +143,61 @@ def enumerate_class_models(n_max: int, frame_class: FrameClass,
                        for pi, p in enumerate(props)}
                 out.append(KripkeModel(worlds, [agent], rel, val))
     return out
+
+
+def reference_mc(m: KripkeModel, w: str, f: Formula) -> bool:
+    """Truth of f at world w, world by world from the definitions.
+
+    The oracle for kwl.semantics: successors come from scanning the edges,
+    and [a]b at w enters the restriction to the a-worlds when a holds at w."""
+    match f:
+        case Top():
+            return True
+        case Bot():
+            return False
+        case Prop(name):
+            return w in m.val.get(name, frozenset())
+        case Not(sub):
+            return not reference_mc(m, w, sub)
+        case And(a, b):
+            return reference_mc(m, w, a) and reference_mc(m, w, b)
+        case Or(a, b):
+            return reference_mc(m, w, a) or reference_mc(m, w, b)
+        case Implies(a, b):
+            return (not reference_mc(m, w, a)) or reference_mc(m, w, b)
+        case Iff(a, b):
+            return reference_mc(m, w, a) == reference_mc(m, w, b)
+        case K(agent, sub):
+            return all(reference_mc(m, t, sub) for s, t in m.rel.get(agent, ()) if s == w)
+        case Kw(agent, sub):
+            return len({reference_mc(m, t, sub)
+                        for s, t in m.rel.get(agent, ()) if s == w}) <= 1
+        case Announce(announced, body):
+            if not reference_mc(m, w, announced):
+                return True
+            return reference_mc(reference_restrict(m, announced), w, body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_restrict(m: KripkeModel, f: Formula):
+    """The submodel on the worlds where f holds, or None when there are none."""
+    keep = [w for w in m.worlds if reference_mc(m, w, f)]
+    if not keep:
+        return None
+    return KripkeModel(keep, m.agents,
+                       {a: [(s, t) for s, t in pairs if s in keep and t in keep]
+                        for a, pairs in m.rel.items()},
+                       {p: [w for w in keep if w in where] for p, where in m.val.items()},
+                       point=m.point if m.point in keep else None)
+
+
+def reference_frame_valid(m: KripkeModel, f: Formula) -> bool:
+    """Truth of f at every world of m's frame under every valuation of its props."""
+    props = sorted(props_of(f))
+    for choice in itertools.product(*[[False, True]] * (len(props) * len(m.worlds))):
+        val = {p: [w for j, w in enumerate(m.worlds) if choice[i * len(m.worlds) + j]]
+               for i, p in enumerate(props)}
+        candidate = KripkeModel(m.worlds, m.agents, m.rel, val)
+        if not all(reference_mc(candidate, w, f) for w in m.worlds):
+            return False
+    return True

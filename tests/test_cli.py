@@ -60,6 +60,29 @@ def test_decide_budget(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_budget_below_one_is_a_usage_error(capsys):
+    for budget in ("0", "-1", "many"):
+        code, _, err = run(capsys, "decide", "p", "--budget", budget)
+        assert code == 2 and "--budget" in err, budget
+
+
+def test_malformed_model_documents(capsys, tmp_path):
+    good = json.loads((ROOT / "fixtures" / "m1.json").read_text())
+    for name, bad in (("string_worlds", {**good, "worlds": "st"}),
+                      ("three_element_edge", {**good, "rel": {"i": [["s", "t", "s"]]}}),
+                      ("list_world_name", {**good, "worlds": [["s"], "t"]})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "frame", str(path))
+        assert (code, out) == (2, ""), name
+        assert "cannot load model" in err, name
+
+
+def test_deep_nesting(capsys):
+    code, out, err = run(capsys, "mc", M1, "s", "~" * 3000 + "p")
+    assert (code, out, err) == (2, "", "kwl: input too deeply nested\n")
+
+
 def test_sat(capsys, tmp_path):
     out_file = tmp_path / "model.json"
     code, out, _ = run(capsys, "sat", "Kw[i]p & ~p", "--class", "T",

@@ -5,9 +5,17 @@ import random
 
 import pytest
 
-from helpers import enumerate_class_models, random_formula, random_model
+from helpers import (
+    enumerate_class_models,
+    random_formula,
+    random_model,
+    reference_frame_valid,
+    reference_mc,
+    reference_restrict,
+)
+from kwl import semantics
 from kwl.fixtures import FIXTURES, announce, f1, f2, m1
-from kwl.formula import And, Kw, Language, Not, Prop, parse
+from kwl.formula import BOT, And, Announce, Kw, Language, Not, Prop, parse
 from kwl.semantics import (
     FrameClass,
     FrameProperty,
@@ -197,3 +205,64 @@ def test_enumerated_class_model_counts():
     assert len(enumerate_class_models(2, FrameClass.T)) == 18
     for m in enumerate_class_models(2, FrameClass.K4):
         assert satisfies_class(m, FrameClass.K4)
+
+
+def test_model_document_schema(tmp_path):
+    good = m1().to_dict()
+    for bad in ({**good, "worlds": "st"},
+                {**good, "rel": {"i": [["s", "t", "s"]]}},
+                {**good, "worlds": [["s"], "t"]},
+                {**good, "agents": "i"},
+                {**good, "rel": {"i": [["s", 1]]}},
+                {**good, "rel": []},
+                {**good, "val": {"p": "s"}},
+                {**good, "point": ["s"]},
+                ["s", "t"]):
+        with pytest.raises(ModelError):
+            KripkeModel.from_dict(bad)
+    assert KripkeModel.from_dict(good) == m1()
+
+
+def test_evaluator_agrees_with_reference():
+    """mc, model_valid, restrict and frame_valid against the world-by-world
+    oracle, on models with worlds that see nothing and formulas with
+    announcements inside announced formulas and bodies."""
+    rng = random.Random(41)
+    agents = ("i", "j")
+    for _ in range(300):
+        m = random_model(rng, rng.choice([FrameClass.K, FrameClass.PF]), max_worlds=6,
+                         agents=agents)
+        m = KripkeModel(m.worlds, m.agents, m.rel, m.val, point=rng.choice(m.worlds))
+        f = random_formula(rng, 4, agents=agents, lang=Language.PLKwAK)
+        g = random_formula(rng, 3, agents=agents, lang=Language.PLKwA)
+        for h in (f, Announce(BOT, f), Announce(Announce(g, f), Kw("j", Announce(f, g)))):
+            truth = [reference_mc(m, w, h) for w in m.worlds]
+            assert [mc(m, w, h) for w in m.worlds] == truth
+            assert model_valid(m, h) == all(truth)
+            assert restrict(m, h) == reference_restrict(m, h)
+        frame = random_model(rng, FrameClass.K, max_worlds=3, agents=agents)
+        h = random_formula(rng, 4, agents=agents, lang=Language.PLKwA)
+        assert frame_valid(frame, h) == reference_frame_valid(frame, h)
+
+
+def test_model_valid_restricts_once_per_announcement(monkeypatch):
+    calls = []
+    original = semantics.restrict
+
+    def counting(model, f, **kwargs):
+        calls.append((model.worlds, f))
+        return original(model, f, **kwargs)
+
+    monkeypatch.setattr(semantics, "restrict", counting)
+    rng = random.Random(7)
+    worlds = [f"w{k}" for k in range(200)]
+    rel = {"i": [(s, t) for b in range(0, 200, 4)
+                 for s in worlds[b:b + 4] for t in worlds[b:b + 4]],
+           "j": [(s, t) for s in worlds for t in rng.sample(worlds, 2)]}
+    m = KripkeModel(worlds, ["i", "j"], rel,
+                    {p: rng.sample(worlds, 100) for p in ("a", "b", "c")})
+    # the reduction axiom for Kw
+    g = "([b]Kw[j](c | ~a))"
+    f = parse(f"[a]Kw[i]{g} <-> (a -> Kw[i][a]{g} | Kw[i][a]~{g})")
+    assert model_valid(m, f)
+    assert calls and len(calls) == len(set(calls))
