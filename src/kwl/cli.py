@@ -1,7 +1,8 @@
 """Command-line front end: model checking, deciding, reducing, translating, proof checking.
 
 Exit codes: 0 true/ok/valid/satisfiable, 1 false/invalid/unsatisfiable or a
-failed derivation step, 2 usage or input errors, 3 exhausted search budget.
+failed derivation step, 2 usage or input errors and internal errors, 3 exhausted
+search budget.
 """
 
 from __future__ import annotations
@@ -227,6 +228,10 @@ def main(argv=None) -> int:
         return 3
     except RecursionError:
         print("kwl: input too deeply nested", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 0 and 1 are answers; a fault must not read as one
+        print(f"kwl: internal error: {exc}", file=sys.stderr)
         return 2
 
 

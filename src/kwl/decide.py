@@ -19,7 +19,6 @@ from .formula import (
     BOT,
     TOP,
     And,
-    Announce,
     Bot,
     Formula,
     Iff,
@@ -27,6 +26,7 @@ from .formula import (
     K,
     Kw,
     Language,
+    Modal,
     Not,
     Or,
     Prop,
@@ -42,7 +42,7 @@ from .semantics import (
     frame_properties,
     mc,
 )
-from .translate import reduce
+from .translate import expand_kw, reduce
 
 
 class BudgetExceeded(Exception):
@@ -66,7 +66,7 @@ class Validity:
 
 
 @dataclass(frozen=True)
-class _Dia(Formula):
+class _Dia(Modal):
     """Internal NNF-only dual of K; never rendered."""
 
     agent: str
@@ -77,49 +77,9 @@ class _Dia(Formula):
 # preprocessing
 
 
-def _kw_free(f: Formula) -> Formula:
-    """Replace Kw[i]g by K[i]g' | K[i]~g' throughout (announcement-free input)."""
-    match f:
-        case Top() | Bot() | Prop(_):
-            return f
-        case Not(sub):
-            return Not(_kw_free(sub))
-        case And(a, b):
-            return And(_kw_free(a), _kw_free(b))
-        case Or(a, b):
-            return Or(_kw_free(a), _kw_free(b))
-        case Implies(a, b):
-            return Implies(_kw_free(a), _kw_free(b))
-        case Iff(a, b):
-            return Iff(_kw_free(a), _kw_free(b))
-        case K(agent, sub):
-            return K(agent, _kw_free(sub))
-        case Kw(agent, sub):
-            inner = _kw_free(sub)
-            return Or(K(agent, inner), K(agent, Not(inner)))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _kw_top(f: Formula) -> Formula:
     """Replace every Kw subformula by top (an equivalence on partial-functional frames)."""
-    match f:
-        case Top() | Bot() | Prop(_):
-            return f
-        case Not(sub):
-            return Not(_kw_top(sub))
-        case And(a, b):
-            return And(_kw_top(a), _kw_top(b))
-        case Or(a, b):
-            return Or(_kw_top(a), _kw_top(b))
-        case Implies(a, b):
-            return Implies(_kw_top(a), _kw_top(b))
-        case Iff(a, b):
-            return Iff(_kw_top(a), _kw_top(b))
-        case K(agent, sub):
-            return K(agent, _kw_top(sub))
-        case Kw(_, _):
-            return TOP
-    raise TypeError(f"not a formula: {f!r}")
+    return TOP if isinstance(f, Kw) else f.map(_kw_top)
 
 
 def _nnf(f: Formula) -> Formula:
@@ -213,13 +173,16 @@ def _close(worlds, pairs, props) -> set:
 
 
 class _Branch:
+    # labels and boxes are dicts used as insertion-ordered sets (every value
+    # None), so that diamonds fire and boxes re-fire in the order the formulas
+    # arrived, whatever the string-hash seed
     __slots__ = ("worlds", "labels", "base", "boxes", "fired", "det", "splits", "next_id")
 
     def __init__(self):
         self.worlds: list[int] = []
-        self.labels: dict[int, set] = {}
+        self.labels: dict[int, dict] = {}
         self.base: dict[str, set] = {}
-        self.boxes: dict[tuple, set] = {}
+        self.boxes: dict[tuple, dict] = {}
         self.fired: set = set()
         self.det: deque = deque()
         self.splits: list = []
@@ -228,9 +191,9 @@ class _Branch:
     def copy(self) -> "_Branch":
         br = _Branch.__new__(_Branch)
         br.worlds = list(self.worlds)
-        br.labels = {w: set(s) for w, s in self.labels.items()}
+        br.labels = {w: dict(s) for w, s in self.labels.items()}
         br.base = {a: set(p) for a, p in self.base.items()}
-        br.boxes = {k: set(s) for k, s in self.boxes.items()}
+        br.boxes = {k: dict(s) for k, s in self.boxes.items()}
         br.fired = set(self.fired)
         br.det = deque(self.det)
         br.splits = list(self.splits)
@@ -264,7 +227,7 @@ class _Tableau:
         w = br.next_id
         br.next_id += 1
         br.worlds.append(w)
-        br.labels[w] = set()
+        br.labels[w] = {}
         self.prefixes += 1
         self._tick()
         return w
@@ -273,7 +236,7 @@ class _Tableau:
         if f in br.labels[w]:
             return
         self._tick()
-        br.labels[w].add(f)
+        br.labels[w][f] = None
         br.det.append((w, f))
 
     def _add_edge(self, br, agent, u, v):
@@ -304,7 +267,7 @@ class _Tableau:
                 case Or(_, _):
                     br.splits.append((w, f))
                 case K(agent, body):
-                    br.boxes.setdefault((w, agent), set()).add(body)
+                    br.boxes.setdefault((w, agent), {})[body] = None
                     for (x, y) in self._closed_rel(br, agent):
                         if x == w:
                             self._add(br, y, body)
@@ -466,7 +429,7 @@ def sat(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> Decision
     g = reduce(f) if lang == Language.PLKwA else f
     requirements = frame_class.requirements
     pf = FrameProperty.PARTIAL_FUNCTIONAL in requirements
-    root = _nnf(_kw_top(g) if pf else _kw_free(g))
+    root = _nnf(_kw_top(g) if pf else expand_kw(g))
     agents = sorted(agents_of(f))
     tab = _Tableau(requirements - {FrameProperty.PARTIAL_FUNCTIONAL}, agents, budget, pf)
     open_branch = tab.solve(root)

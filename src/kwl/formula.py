@@ -13,16 +13,51 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 
 class Formula:
-    """Base class; all nodes are frozen dataclasses with structural equality."""
+    """Base class; all nodes are frozen dataclasses with structural equality.
+
+    children() lists a node's immediate subformulas, left to right, and
+    map(fn) returns the same node with fn applied to each of them.  Leaves
+    have no children and map to themselves.
+    """
 
     __slots__ = ()
 
+    def children(self) -> tuple:
+        return ()
+
+    def map(self, fn: Callable[[Formula], Formula]) -> Formula:
+        return self
+
     def __str__(self) -> str:
         return render(self)
+
+
+class Modal(Formula):
+    """Shape of the modalities: an agent and one subformula, `sub`."""
+
+    __slots__ = ()
+
+    def children(self) -> tuple:
+        return (self.sub,)
+
+    def map(self, fn):
+        return type(self)(self.agent, fn(self.sub))
+
+
+class Binary(Formula):
+    """Shape of the binary connectives: subformulas `left` and `right`."""
+
+    __slots__ = ()
+
+    def children(self) -> tuple:
+        return (self.left, self.right)
+
+    def map(self, fn):
+        return type(self)(fn(self.left), fn(self.right))
 
 
 @dataclass(frozen=True)
@@ -44,39 +79,45 @@ class Prop(Formula):
 class Not(Formula):
     sub: Formula
 
+    def children(self) -> tuple:
+        return (self.sub,)
+
+    def map(self, fn):
+        return Not(fn(self.sub))
+
 
 @dataclass(frozen=True)
-class And(Formula):
+class And(Binary):
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
-class Or(Formula):
+class Or(Binary):
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
-class Implies(Formula):
+class Implies(Binary):
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
-class Iff(Formula):
+class Iff(Binary):
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
-class Kw(Formula):
+class Kw(Modal):
     agent: str
     sub: Formula
 
 
 @dataclass(frozen=True)
-class K(Formula):
+class K(Modal):
     agent: str
     sub: Formula
 
@@ -86,11 +127,15 @@ class Announce(Formula):
     announced: Formula
     body: Formula
 
+    def children(self) -> tuple:
+        return (self.announced, self.body)
+
+    def map(self, fn):
+        return Announce(fn(self.announced), fn(self.body))
+
 
 TOP = Top()
 BOT = Bot()
-
-BINARY_TYPES = (And, Or, Implies, Iff)
 
 
 def conj(parts: Sequence[Formula]) -> Formula:
@@ -110,6 +155,18 @@ def disj(parts: Sequence[Formula]) -> Formula:
     for p in parts[1:]:
         out = Or(out, p)
     return out
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every node of f, f itself first, in left-to-right preorder.
+
+    Iterative, so a formula nested deeper than the interpreter's stack is
+    walked whole."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack += g.children()[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -134,25 +191,12 @@ _ALLOWED = {
 }
 
 
-def _operators(f: Formula, acc: set) -> set:
-    match f:
-        case Kw(_, sub) | K(_, sub):
-            acc.add(type(f))
-            _operators(sub, acc)
-        case Not(sub):
-            _operators(sub, acc)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            _operators(a, acc)
-            _operators(b, acc)
-        case Announce(a, b):
-            acc.add(Announce)
-            _operators(a, acc)
-            _operators(b, acc)
-    return acc
+def _operators(f: Formula) -> set:
+    return {type(g) for g in subformulas(f) if isinstance(g, (Kw, K, Announce))}
 
 
 def in_language(f: Formula, lang: Language) -> bool:
-    return _operators(f, set()) <= _ALLOWED[lang]
+    return _operators(f) <= _ALLOWED[lang]
 
 
 def classify_language(f: Formula) -> Language:
@@ -161,7 +205,7 @@ def classify_language(f: Formula) -> Language:
     A purely Boolean formula sits in both EL and PLKw; EL is returned as the
     canonical answer for that corner.
     """
-    ops = _operators(f, set())
+    ops = _operators(f)
     has_kw, has_k, has_ann = Kw in ops, K in ops, Announce in ops
     if has_ann:
         if has_k:
@@ -175,25 +219,11 @@ def classify_language(f: Formula) -> Language:
 
 
 def props_of(f: Formula) -> set[str]:
-    match f:
-        case Prop(name):
-            return {name}
-        case Not(sub) | Kw(_, sub) | K(_, sub):
-            return props_of(sub)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b) | Announce(a, b):
-            return props_of(a) | props_of(b)
-    return set()
+    return {g.name for g in subformulas(f) if isinstance(g, Prop)}
 
 
 def agents_of(f: Formula) -> set[str]:
-    match f:
-        case Kw(agent, sub) | K(agent, sub):
-            return {agent} | agents_of(sub)
-        case Not(sub):
-            return agents_of(sub)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b) | Announce(a, b):
-            return agents_of(a) | agents_of(b)
-    return set()
+    return {g.agent for g in subformulas(f) if isinstance(g, Modal)}
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +232,9 @@ def agents_of(f: Formula) -> set[str]:
 
 def substitute(f: Formula, prop: str, replacement: Formula) -> Formula:
     """Uniform substitution f[replacement/prop]."""
-    match f:
-        case Prop(name):
-            return replacement if name == prop else f
-        case Top() | Bot():
-            return f
-        case Not(sub):
-            return Not(substitute(sub, prop, replacement))
-        case Kw(agent, sub):
-            return Kw(agent, substitute(sub, prop, replacement))
-        case K(agent, sub):
-            return K(agent, substitute(sub, prop, replacement))
-        case And(a, b):
-            return And(substitute(a, prop, replacement), substitute(b, prop, replacement))
-        case Or(a, b):
-            return Or(substitute(a, prop, replacement), substitute(b, prop, replacement))
-        case Implies(a, b):
-            return Implies(substitute(a, prop, replacement), substitute(b, prop, replacement))
-        case Iff(a, b):
-            return Iff(substitute(a, prop, replacement), substitute(b, prop, replacement))
-        case Announce(a, b):
-            return Announce(substitute(a, prop, replacement), substitute(b, prop, replacement))
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, Prop):
+        return replacement if f.name == prop else f
+    return f.map(lambda g: substitute(g, prop, replacement))
 
 
 # ---------------------------------------------------------------------------

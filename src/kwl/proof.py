@@ -25,6 +25,7 @@ from .formula import (
     K,
     Kw,
     Language,
+    Modal,
     Not,
     Or,
     Prop,
@@ -34,6 +35,7 @@ from .formula import (
     in_language,
     parse,
     render,
+    substitute,
 )
 from .semantics import FrameClass
 
@@ -104,38 +106,24 @@ def _is_meta(name: str) -> bool:
 
 def _match(schema: Formula, f: Formula, b: dict) -> bool:
     """Match f against the schema, growing the binding dict b."""
-    match schema:
-        case Prop(name) if _is_meta(name):
-            if name == "ATOM" and not isinstance(f, Prop):
-                return False
-            if name in b:
-                return b[name] == f
-            b[name] = f
-            return True
-        case Prop(_):
-            return schema == f
-        case Top() | Bot():
-            return type(schema) is type(f)
-        case Not(sub):
-            return isinstance(f, Not) and _match(sub, f.sub, b)
-        case And(x, y):
-            return isinstance(f, And) and _match(x, f.left, b) and _match(y, f.right, b)
-        case Or(x, y):
-            return isinstance(f, Or) and _match(x, f.left, b) and _match(y, f.right, b)
-        case Implies(x, y):
-            return isinstance(f, Implies) and _match(x, f.left, b) and _match(y, f.right, b)
-        case Iff(x, y):
-            return isinstance(f, Iff) and _match(x, f.left, b) and _match(y, f.right, b)
-        case Kw(agent, sub):
-            return (isinstance(f, Kw) and _match_agent(agent, f.agent, b)
-                    and _match(sub, f.sub, b))
-        case K(agent, sub):
-            return (isinstance(f, K) and _match_agent(agent, f.agent, b)
-                    and _match(sub, f.sub, b))
-        case Announce(x, y):
-            return (isinstance(f, Announce) and _match(x, f.announced, b)
-                    and _match(y, f.body, b))
-    raise TypeError(f"not a formula: {schema!r}")
+    if isinstance(schema, Prop) and _is_meta(schema.name):
+        name = schema.name
+        if name == "ATOM" and not isinstance(f, Prop):
+            return False
+        if name in b:
+            return b[name] == f
+        b[name] = f
+        return True
+    if type(schema) is not type(f):
+        return False
+    if isinstance(schema, Prop):
+        return schema.name == f.name
+    if isinstance(schema, Modal) and not _match_agent(schema.agent, f.agent, b):
+        return False
+    for x, y in zip(schema.children(), f.children()):
+        if not _match(x, y, b):
+            return False
+    return True
 
 
 def _match_agent(meta: str, actual: str, b: dict) -> bool:
@@ -155,30 +143,11 @@ def match_axiom(name: str, f: Formula) -> Optional[dict]:
 
 def instantiate(schema: Formula, bindings: dict) -> Formula:
     """Fill a schema's metavariables from bindings (agent under key I)."""
-    match schema:
-        case Prop(name) if _is_meta(name):
-            return bindings[name]
-        case Top() | Bot() | Prop(_):
-            return schema
-        case Not(sub):
-            return Not(instantiate(sub, bindings))
-        case And(a, b):
-            return And(instantiate(a, bindings), instantiate(b, bindings))
-        case Or(a, b):
-            return Or(instantiate(a, bindings), instantiate(b, bindings))
-        case Implies(a, b):
-            return Implies(instantiate(a, bindings), instantiate(b, bindings))
-        case Iff(a, b):
-            return Iff(instantiate(a, bindings), instantiate(b, bindings))
-        case Kw(agent, sub):
-            return Kw(bindings[agent] if _is_meta(agent) else agent,
-                      instantiate(sub, bindings))
-        case K(agent, sub):
-            return K(bindings[agent] if _is_meta(agent) else agent,
-                     instantiate(sub, bindings))
-        case Announce(a, b):
-            return Announce(instantiate(a, bindings), instantiate(b, bindings))
-    raise TypeError(f"not a formula: {schema!r}")
+    if isinstance(schema, Prop) and _is_meta(schema.name):
+        return bindings[schema.name]
+    if isinstance(schema, Modal) and _is_meta(schema.agent):
+        schema = type(schema)(bindings[schema.agent], schema.sub)
+    return schema.map(lambda g: instantiate(g, bindings))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +424,6 @@ def _check_step(system: ProofSystem, d: Derivation, step: Step):
         g = prem(a)
         if not isinstance(g, Iff):
             raise DerivationError(step.index, f"line {a} is not an equivalence")
-        from .formula import substitute
         if f != Iff(substitute(ctx, var, g.left), substitute(ctx, var, g.right)):
             raise DerivationError(step.index, "substitution of equivalents does not match")
     elif rule == "ri":

@@ -14,9 +14,9 @@ from .formula import (
     TOP,
     And,
     Announce,
+    Binary,
     Bot,
     Formula,
-    Iff,
     Implies,
     K,
     Kw,
@@ -27,49 +27,34 @@ from .formula import (
     Top,
     complexity,
     in_language,
+    subformulas,
 )
 
 
 def kw_to_el(f: Formula) -> Formula:
     """Kw[i]g becomes K[i]g' | K[i]~g'; Boolean structure is untouched."""
-    match f:
-        case Top() | Bot() | Prop(_):
-            return f
-        case Not(sub):
-            return Not(kw_to_el(sub))
-        case And(a, b):
-            return And(kw_to_el(a), kw_to_el(b))
-        case Or(a, b):
-            return Or(kw_to_el(a), kw_to_el(b))
-        case Implies(a, b):
-            return Implies(kw_to_el(a), kw_to_el(b))
-        case Iff(a, b):
-            return Iff(kw_to_el(a), kw_to_el(b))
-        case Kw(agent, sub):
-            inner = kw_to_el(sub)
-            return Or(K(agent, inner), K(agent, Not(inner)))
-    raise ValueError(f"kw_to_el is defined on the Kw language, got: {f}")
+    for g in subformulas(f):
+        if isinstance(g, (K, Announce)):
+            raise ValueError(f"kw_to_el is defined on the Kw language, got: {g}")
+    return expand_kw(f)
+
+
+def expand_kw(f: Formula) -> Formula:
+    """kw_to_el without its language check: K is kept as it is (announcement-free input)."""
+    if isinstance(f, Kw):
+        inner = expand_kw(f.sub)
+        return Or(K(f.agent, inner), K(f.agent, Not(inner)))
+    return f.map(expand_kw)
 
 
 def el_to_kw(f: Formula) -> Formula:
     """K[i]g becomes g' & Kw[i]g'; faithful on reflexive models only."""
-    match f:
-        case Top() | Bot() | Prop(_):
-            return f
-        case Not(sub):
-            return Not(el_to_kw(sub))
-        case And(a, b):
-            return And(el_to_kw(a), el_to_kw(b))
-        case Or(a, b):
-            return Or(el_to_kw(a), el_to_kw(b))
-        case Implies(a, b):
-            return Implies(el_to_kw(a), el_to_kw(b))
-        case Iff(a, b):
-            return Iff(el_to_kw(a), el_to_kw(b))
-        case K(agent, sub):
-            inner = el_to_kw(sub)
-            return And(inner, Kw(agent, inner))
-    raise ValueError(f"el_to_kw is defined on the K-only language, got: {f}")
+    if isinstance(f, K):
+        inner = el_to_kw(f.sub)
+        return And(inner, Kw(f.agent, inner))
+    if isinstance(f, (Kw, Announce)):
+        raise ValueError(f"el_to_kw is defined on the K-only language, got: {f}")
+    return f.map(el_to_kw)
 
 
 # ---------------------------------------------------------------------------
@@ -84,25 +69,10 @@ def reduce(f: Formula) -> Formula:
 
 
 def _reduce(f: Formula) -> Formula:
-    match f:
-        case Top() | Bot() | Prop(_):
-            return f
-        case Not(sub):
-            return Not(_reduce(sub))
-        case And(a, b):
-            return And(_reduce(a), _reduce(b))
-        case Or(a, b):
-            return Or(_reduce(a), _reduce(b))
-        case Implies(a, b):
-            return Implies(_reduce(a), _reduce(b))
-        case Iff(a, b):
-            return Iff(_reduce(a), _reduce(b))
-        case Kw(agent, sub):
-            return Kw(agent, _reduce(sub))
-        case Announce(announced, body):
-            # innermost-first on the announced part, then peel the redex
-            return _eliminate(_reduce(announced), body)
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, Announce):
+        # innermost-first on the announced part, then peel the redex
+        return _eliminate(_reduce(f.announced), f.body)
+    return f.map(_reduce)
 
 
 def _step(announced: Formula, body: Formula) -> Formula:
@@ -116,14 +86,8 @@ def _step(announced: Formula, body: Formula) -> Formula:
             return Implies(announced, body)
         case Not(sub):
             return Implies(announced, Not(Announce(announced, sub)))
-        case And(a, b):
-            return And(Announce(announced, a), Announce(announced, b))
-        case Or(a, b):
-            return Or(Announce(announced, a), Announce(announced, b))
-        case Implies(a, b):
-            return Implies(Announce(announced, a), Announce(announced, b))
-        case Iff(a, b):
-            return Iff(Announce(announced, a), Announce(announced, b))
+        case Binary():
+            return body.map(lambda part: Announce(announced, part))
         case Kw(agent, sub):
             return Implies(
                 announced,

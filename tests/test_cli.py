@@ -83,6 +83,15 @@ def test_deep_nesting(capsys):
     assert (code, out, err) == (2, "", "kwl: input too deeply nested\n")
 
 
+def test_internal_error_is_exit_2(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("kwl.cli.valid", broken)
+    code, out, err = run(capsys, "decide", "p")
+    assert (code, out, err) == (2, "", "kwl: internal error: boom\n")
+
+
 def test_sat(capsys, tmp_path):
     out_file = tmp_path / "model.json"
     code, out, _ = run(capsys, "sat", "Kw[i]p & ~p", "--class", "T",

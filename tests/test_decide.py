@@ -1,10 +1,13 @@
 """Tableau satisfiability and validity against independent oracles."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from helpers import enumerate_class_models, random_formula, random_model
+from helpers import ROOT, enumerate_class_models, random_formula, random_model
 from kwl.decide import BudgetExceeded, DecisionResult, Validity, sat, valid
 from kwl.formula import Language, Not, enumerate_formulas, parse, render
 from kwl.semantics import FrameClass, frame_properties, mc, model_valid, satisfies_class
@@ -156,3 +159,32 @@ def test_multi_agent():
     v = valid(parse("Kw[i]p -> Kw[j]p"), FrameClass.S5)
     assert not v.valid
     assert satisfies_class(v.countermodel, FrameClass.S5)
+
+
+def test_tableau_is_independent_of_the_hash_seed(tmp_path):
+    formula = "Kw[i](p | q) & Kw[j]r -> Kw[i]Kw[j](p & r) | Kw[j]Kw[i]q"
+    prefixes = ("from kwl.decide import valid; from kwl.proof import gen_prop19;"
+                "from kwl.semantics import FrameClass;"
+                "print(valid(gen_prop19(3).steps[-1].formula, FrameClass.K).prefixes)")
+    countermodels, counts = set(), set()
+    for seed in range(4):
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        out = tmp_path / f"cm{seed}.json"
+        done = subprocess.run([sys.executable, "-m", "kwl.cli", "decide", "--class", "K",
+                               formula, "--countermodel", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (1, "invalid\n")
+        countermodels.add(out.read_bytes())
+        done = subprocess.run([sys.executable, "-c", prefixes], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        counts.add(done.stdout)
+    assert len(countermodels) == 1
+    assert len(counts) == 1
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="S5 tableau with two agents: the extracted model fails the re-check")
+def test_s5_two_agent_kw_chain():
+    # valid over S5: Kw[j]Kw[j]p is, and necessitation gives the rest
+    assert valid(parse("Kw[j]Kw[i]Kw[j]Kw[j]p"), FrameClass.S5).valid

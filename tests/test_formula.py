@@ -1,5 +1,6 @@
 """Formula AST, parser, printer, enumerator."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import count_formulas, node_count, random_formula
+from kwl.decide import _Dia
 from kwl.formula import (
     BOT,
     TOP,
     And,
     Announce,
+    Formula,
     Iff,
     Implies,
     K,
@@ -31,6 +34,7 @@ from kwl.formula import (
     parse,
     props_of,
     render,
+    subformulas,
     substitute,
 )
 
@@ -155,6 +159,34 @@ def test_props_agents():
     assert props_of(f) == {"p", "q", "r"}
     assert agents_of(f) == {"i", "j"}
     assert props_of(TOP) == set()
+
+
+def test_children_and_map_per_node_type():
+    nodes = [TOP, BOT, P, Not(P), And(P, Q), Or(P, Q), Implies(P, Q), Iff(P, Q),
+             Kw("i", P), K("i", P), _Dia("i", P), Announce(P, Q)]
+    for f in nodes:
+        subs = {fld.name: getattr(f, fld.name) for fld in dataclasses.fields(f)
+                if isinstance(getattr(f, fld.name), Formula)}
+        assert f.children() == tuple(subs.values())
+        assert f.map(lambda g: g) == f
+        assert f.map(Not) == dataclasses.replace(f, **{k: Not(g) for k, g in subs.items()})
+
+
+def test_subformulas_preorder():
+    assert [render(g) for g in subformulas(parse("[p]Kw[i]q & ~r"))] == \
+        ["[p]Kw[i]q & ~r", "[p]Kw[i]q", "p", "Kw[i]q", "q", "~r", "r"]
+    for f in enumerate_formulas(["p", "q"], ["i"], Language.PLKwAK, 5):
+        assert len(list(subformulas(f))) == node_count(f)
+
+
+def test_deep_formulas_are_walked_without_recursion():
+    f = Kw("i", P)
+    for _ in range(5000):
+        f = Not(f)
+    assert props_of(f) == {"p"}
+    assert agents_of(f) == {"i"}
+    assert in_language(f, Language.PLKw)
+    assert classify_language(f) == Language.PLKw
 
 
 def test_language_classification():

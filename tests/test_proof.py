@@ -1,5 +1,6 @@
 """Axiom schemas, propositional tautology checking, derivation replay."""
 
+import importlib.util
 import itertools
 import random
 
@@ -343,6 +344,16 @@ def test_corpus_certifies():
         d = load_derivation(path)
         concl = check_derivation(d)
         assert concl == d.steps[-1].formula
+
+
+def test_corpus_matches_its_generator():
+    spec = importlib.util.spec_from_file_location("gen_corpus", ROOT / "scripts" / "gen_corpus.py")
+    gen_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_corpus)
+    files = {path.stem: path for path in (ROOT / "proofs").glob("*.prf")}
+    assert set(gen_corpus.CORPUS) == set(files)
+    for name, build in gen_corpus.CORPUS.items():
+        assert format_derivation(build()) == files[name].read_text(), name
 
 
 def test_gen_prop19():

@@ -24,18 +24,23 @@ def test_kw_to_el_pins():
     assert kw_to_el(parse("Kw[i]Kw[j]p")) == parse(
         "K[i](K[j]p | K[j]~p) | K[i]~(K[j]p | K[j]~p)")
     assert kw_to_el(parse("p -> q")) == parse("p -> q")
-    with pytest.raises(ValueError):
+    # the error names the first offending subformula in left-to-right preorder
+    with pytest.raises(ValueError, match=r"got: K\[i\]p$"):
         kw_to_el(parse("K[i]p"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got: \[p\]Kw\[i\]q$"):
         kw_to_el(parse("[p]Kw[i]q"))
+    with pytest.raises(ValueError, match=r"got: K\[i\]q$"):
+        kw_to_el(parse("p & K[i]q | [r]s"))
 
 
 def test_el_to_kw_pins():
     assert el_to_kw(parse("K[i]p")) == parse("p & Kw[i]p")
     assert el_to_kw(parse("~K[i]K[j]q")) == parse(
         "~((q & Kw[j]q) & Kw[i](q & Kw[j]q))")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got: Kw\[i\]p$"):
         el_to_kw(parse("Kw[i]p"))
+    with pytest.raises(ValueError, match=r"got: Kw\[j\]q$"):
+        el_to_kw(parse("K[i](p | Kw[j]q) & [r]s"))
 
 
 def test_kw_to_el_preserves_truth():
