@@ -139,8 +139,6 @@ def cmd_check(args) -> int:
         d = load_derivation(args.proof)
     except OSError as exc:
         raise _UsageError(f"cannot load derivation {args.proof}: {exc}") from exc
-    except DerivationError as exc:
-        raise _UsageError(str(exc)) from exc
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     try:

@@ -1,12 +1,12 @@
 """Frame-class-aware satisfiability and validity via a labelled tableau.
 
-The input is first freed of announcements, then of Kw (Kw[i]g becomes
-K[i]g | K[i]~g in general; over partial-functional frames Kw[i]g holds
-everywhere and becomes top), taken to negation normal form and run
-through a tableau whose accessibility relations are kept closed under
-the frame conditions of the requested class.  A satisfiable verdict
-carries a pointed model that has been re-checked against the original
-formula with the model checker; nothing is returned on faith.
+Announcements are reduced away first.  One pass, _nnf, then takes the
+formula to negation normal form and removes Kw with it: Kw[i]g becomes
+K[i]g | K[i]~g in general, and top over partial-functional frames, where it
+holds everywhere.  A tableau whose accessibility relations are kept closed
+under the frame conditions of the requested class searches for a model.  A
+satisfiable verdict carries a pointed model that has been re-checked against
+the original formula with the model checker; nothing is returned on faith.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .semantics import (
     frame_properties,
     mc,
 )
-from .translate import expand_kw, reduce
+from .translate import reduce
 
 
 class BudgetExceeded(Exception):
@@ -77,73 +77,41 @@ class _Dia(Modal):
 # preprocessing
 
 
-def _kw_top(f: Formula) -> Formula:
-    """Replace every Kw subformula by top (an equivalence on partial-functional frames)."""
-    return TOP if isinstance(f, Kw) else f.map(_kw_top)
+def _nnf(f: Formula, neg: bool, pf: bool) -> Formula:
+    """Negation normal form of f, or of ~f when neg is set, with Kw expanded.
 
-
-def _nnf(f: Formula) -> Formula:
-    match f:
-        case Top() | Bot() | Prop(_):
-            return f
-        case Not(sub):
-            return _nnf_neg(sub)
-        case And(a, b):
-            return And(_nnf(a), _nnf(b))
-        case Or(a, b):
-            return Or(_nnf(a), _nnf(b))
-        case Implies(a, b):
-            return Or(_nnf_neg(a), _nnf(b))
-        case Iff(a, b):
-            return Or(And(_nnf(a), _nnf(b)), And(_nnf_neg(a), _nnf_neg(b)))
-        case K(agent, sub):
-            return K(agent, _nnf(sub))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _nnf_neg(f: Formula) -> Formula:
-    match f:
-        case Top():
-            return BOT
-        case Bot():
-            return TOP
-        case Prop(_):
-            return Not(f)
-        case Not(sub):
-            return _nnf(sub)
-        case And(a, b):
-            return Or(_nnf_neg(a), _nnf_neg(b))
-        case Or(a, b):
-            return And(_nnf_neg(a), _nnf_neg(b))
-        case Implies(a, b):
-            return And(_nnf(a), _nnf_neg(b))
-        case Iff(a, b):
-            return Or(And(_nnf(a), _nnf_neg(b)), And(_nnf_neg(a), _nnf(b)))
-        case K(agent, sub):
-            return _Dia(agent, _nnf_neg(sub))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _compl(f: Formula) -> Formula:
-    """Negation of a formula already in negation normal form, again in NNF."""
-    match f:
-        case Top():
-            return BOT
-        case Bot():
-            return TOP
-        case Prop(_):
-            return Not(f)
-        case Not(sub):
-            return sub
-        case And(a, b):
-            return Or(_compl(a), _compl(b))
-        case Or(a, b):
-            return And(_compl(a), _compl(b))
-        case K(agent, sub):
-            return _Dia(agent, _compl(sub))
-        case _Dia(agent, sub):
-            return K(agent, _compl(sub))
-    raise TypeError(f"not in negation normal form: {f!r}")
+    Kw[i]g becomes K[i]g | K[i]~g, and ~Kw[i]g becomes _Dia(i,~g) & _Dia(i,g);
+    over partial-functional frames (pf) Kw[i]g holds everywhere and becomes
+    top.  The output has negation on propositions only, and no ->, <->, Kw or
+    announcement.
+    """
+    t = type(f)
+    if t is Prop:
+        return Not(f) if neg else f
+    if t is Not:
+        return _nnf(f.sub, not neg, pf)
+    if t is And or t is Or:
+        op = (Or if t is And else And) if neg else t
+        return op(_nnf(f.left, neg, pf), _nnf(f.right, neg, pf))
+    if t is K or t is _Dia:
+        op = (_Dia if t is K else K) if neg else t
+        return op(f.agent, _nnf(f.sub, neg, pf))
+    if t is Top or t is Bot:
+        return (BOT if t is Top else TOP) if neg else f
+    if t is Implies:
+        a, b = _nnf(f.left, not neg, pf), _nnf(f.right, neg, pf)
+        return And(a, b) if neg else Or(a, b)
+    if t is Iff:
+        return Or(And(_nnf(f.left, False, pf), _nnf(f.right, neg, pf)),
+                  And(_nnf(f.left, True, pf), _nnf(f.right, not neg, pf)))
+    if t is Kw:
+        if pf:
+            return BOT if neg else TOP
+        pos, negd = _nnf(f.sub, False, pf), _nnf(f.sub, True, pf)
+        if neg:
+            return And(_Dia(f.agent, negd), _Dia(f.agent, pos))
+        return Or(K(f.agent, pos), K(f.agent, negd))
+    raise TypeError(f"not an announcement-free formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +170,11 @@ class _Branch:
 
 
 _CLOSED = "closed"
+
+
+def _rep(br, w) -> int:
+    """The first world whose label equals w's: w itself unless w is blocked."""
+    return next(u for u in br.worlds if br.labels[u] == br.labels[w])
 
 
 class _Tableau:
@@ -275,30 +248,34 @@ class _Tableau:
                     pass
         return None
 
-    def _blocker(self, br, w) -> Optional[int]:
-        for u in br.worlds:
-            if u == w:
-                return None
-            if br.labels[u] == br.labels[w]:
-                return u
-        return None
-
     def _fire_one(self, br) -> bool:
-        """Expand one diamond (or one seriality obligation); True when progress was made."""
-        if self.pf:
-            return self._fire_one_pf(br)
+        """Expand the diamonds of one world (or one seriality obligation); True on progress."""
         for w in br.worlds:
             dias = [f for f in br.labels[w]
                     if isinstance(f, _Dia) and (w, f) not in br.fired]
             if not dias:
                 continue
-            if self.blocking and self._blocker(br, w) is not None:
+            if self.blocking and _rep(br, w) != w:
                 continue
-            f = dias[0]
-            v = self._new_world(br)
-            br.fired.add((w, f))
-            self._add(br, v, f.sub)
-            self._add_edge(br, f.agent, w, v)
+            # the order in which box and diamond bodies reach the successor's
+            # label orders its splits, and so the search and the model
+            if self.pf:
+                # at most one successor per world and agent: all of the least
+                # agent's diamonds fire into it, after its boxes
+                agent = min(f.agent for f in dias)
+                fire = [f for f in dias if f.agent == agent]
+                succ = [y for (x, y) in br.base.get(agent, set()) if x == w]
+                v = succ[0] if succ else self._new_world(br)
+                if not succ:
+                    self._add_edge(br, agent, w, v)
+            else:
+                agent, fire = dias[0].agent, dias[:1]
+                v = self._new_world(br)
+            for f in fire:
+                br.fired.add((w, f))
+                self._add(br, v, f.sub)
+            if not self.pf:
+                self._add_edge(br, agent, w, v)
             return True
         if FrameProperty.SERIAL in self.props:
             for w in br.worlds:
@@ -310,24 +287,6 @@ class _Tableau:
                     v = self._new_world(br)
                     self._add_edge(br, agent, w, v)
                     return True
-        return False
-
-    def _fire_one_pf(self, br) -> bool:
-        # at most one successor per world and agent: all diamonds share it
-        for w in br.worlds:
-            for agent in self.agents:
-                dias = [f for f in br.labels[w]
-                        if isinstance(f, _Dia) and f.agent == agent and (w, f) not in br.fired]
-                if not dias:
-                    continue
-                succ = [y for (x, y) in br.base.get(agent, set()) if x == w]
-                v = succ[0] if succ else self._new_world(br)
-                if not succ:
-                    self._add_edge(br, agent, w, v)
-                for f in dias:
-                    br.fired.add((w, f))
-                    self._add(br, v, f.sub)
-                return True
         return False
 
     def _resolve_splits(self, br):
@@ -344,8 +303,8 @@ class _Tableau:
             labs = br.labels[w]
             if f.left in labs or f.right in labs:
                 continue
-            left_out = _compl(f.left) in labs
-            right_out = _compl(f.right) in labs
+            left_out = _nnf(f.left, True, False) in labs
+            right_out = _nnf(f.right, True, False) in labs
             if left_out and right_out:
                 return _CLOSED
             if left_out:
@@ -390,11 +349,7 @@ class _Tableau:
         return self.search(br)
 
     def extract(self, br, original: Formula, requirements) -> KripkeModel:
-        if self.blocking:
-            rep = {w: next(u for u in br.worlds if br.labels[u] == br.labels[w])
-                   for w in br.worlds}
-        else:
-            rep = {w: w for w in br.worlds}
+        rep = {w: _rep(br, w) if self.blocking else w for w in br.worlds}
         keep = [w for w in br.worlds if rep[w] == w]
         name = {w: f"w{idx}" for idx, w in enumerate(keep)}
         rel = {}
@@ -411,9 +366,9 @@ class _Tableau:
         point = name[rep[br.worlds[0]]]
         model = KripkeModel([name[w] for w in keep], self.agents, rel, val, point=point)
         if not mc(model, point, original):
-            raise RuntimeError(f"internal error: extracted model fails {original}")
+            raise RuntimeError(f"extracted model fails {original}")
         if not requirements <= frame_properties(model):
-            raise RuntimeError("internal error: extracted model leaves the frame class")
+            raise RuntimeError("extracted model leaves the frame class")
         return model
 
 
@@ -429,7 +384,7 @@ def sat(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> Decision
     g = reduce(f) if lang == Language.PLKwA else f
     requirements = frame_class.requirements
     pf = FrameProperty.PARTIAL_FUNCTIONAL in requirements
-    root = _nnf(_kw_top(g) if pf else expand_kw(g))
+    root = _nnf(g, False, pf)
     agents = sorted(agents_of(f))
     tab = _Tableau(requirements - {FrameProperty.PARTIAL_FUNCTIONAL}, agents, budget, pf)
     open_branch = tab.solve(root)

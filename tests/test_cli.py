@@ -92,6 +92,12 @@ def test_internal_error_is_exit_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "kwl: internal error: boom\n")
 
 
+def test_extraction_fault_carries_one_prefix(capsys, monkeypatch):
+    monkeypatch.setattr("kwl.decide.mc", lambda *args: False)
+    code, out, err = run(capsys, "decide", "p")
+    assert (code, out, err) == (2, "", "kwl: internal error: extracted model fails ~p\n")
+
+
 def test_sat(capsys, tmp_path):
     out_file = tmp_path / "model.json"
     code, out, _ = run(capsys, "sat", "Kw[i]p & ~p", "--class", "T",

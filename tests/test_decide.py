@@ -1,5 +1,6 @@
 """Tableau satisfiability and validity against independent oracles."""
 
+import json
 import os
 import random
 import subprocess
@@ -8,8 +9,22 @@ import sys
 import pytest
 
 from helpers import ROOT, enumerate_class_models, random_formula, random_model
-from kwl.decide import BudgetExceeded, DecisionResult, Validity, sat, valid
-from kwl.formula import Language, Not, enumerate_formulas, parse, render
+from kwl.decide import BudgetExceeded, DecisionResult, Validity, _Dia, _nnf, sat, valid
+from kwl.formula import (
+    Announce,
+    Iff,
+    Implies,
+    K,
+    Kw,
+    Language,
+    Not,
+    Prop,
+    enumerate_formulas,
+    parse,
+    render,
+    subformulas,
+)
+from kwl.proof import gen_prop19
 from kwl.semantics import FrameClass, frame_properties, mc, model_valid, satisfies_class
 
 # formula, class, expected validity
@@ -188,3 +203,128 @@ def test_tableau_is_independent_of_the_hash_seed(tmp_path):
 def test_s5_two_agent_kw_chain():
     # valid over S5: Kw[j]Kw[j]p is, and necessitation gives the rest
     assert valid(parse("Kw[j]Kw[i]Kw[j]Kw[j]p"), FrameClass.S5).valid
+
+
+@pytest.fixture(scope="module")
+def nnf_inputs():
+    rng = random.Random(61)
+    forms = list(enumerate_formulas(["p"], ["i", "j"], Language.PLKwK, 5))
+    # the enumerator builds only top, p, ~, & and the modalities
+    forms += [random_formula(rng, 4, agents=("i", "j"), lang=Language.PLKwK)
+              for _ in range(400)]
+    return forms
+
+
+def _undia(f):
+    """_Dia(a, g) read as ~K[a]~g, so that mc can evaluate the output of _nnf."""
+    if isinstance(f, _Dia):
+        return Not(K(f.agent, Not(_undia(f.sub))))
+    return f.map(_undia)
+
+
+@pytest.mark.parametrize("pf", [False, True])
+def test_nnf_neg_flag_is_an_outer_not(nnf_inputs, pf):
+    for f in nnf_inputs:
+        assert _nnf(f, True, pf) == _nnf(Not(f), False, pf), render(f)
+
+
+@pytest.mark.parametrize("pf", [False, True])
+def test_nnf_output_is_kw_free_and_negates_only_props(nnf_inputs, pf):
+    for f in nnf_inputs:
+        for neg in (False, True):
+            for g in subformulas(_nnf(f, neg, pf)):
+                assert not isinstance(g, (Kw, Implies, Iff, Announce)), render(f)
+                assert not isinstance(g, Not) or isinstance(g.sub, Prop), render(f)
+
+
+@pytest.mark.parametrize("pf", [False, True])
+def test_nnf_negation_is_an_involution_on_its_output(nnf_inputs, pf):
+    for f in nnf_inputs:
+        g = _nnf(f, False, pf)
+        assert _nnf(_nnf(g, True, pf), True, pf) == g, render(f)
+
+
+@pytest.mark.parametrize("pf", [False, True])
+def test_nnf_preserves_truth(nnf_inputs, pf):
+    # over partial-functional frames Kw holds everywhere, so only there may it become top
+    rng = random.Random(67)
+    fc = FrameClass.PF if pf else FrameClass.K
+    models = [random_model(rng, fc, agents=("i", "j")) for _ in range(12)]
+    for f in nnf_inputs:
+        for neg in (False, True):
+            g = _undia(_nnf(f, neg, pf))
+            target = Not(f) if neg else f
+            for m in models:
+                for w in m.worlds:
+                    assert mc(m, w, g) == mc(m, w, target), (render(f), neg, w)
+
+
+def _kw_chain(n):
+    f = Prop("p")
+    for _ in range(n):
+        f = Kw("i", f)
+    return f
+
+
+_PROP19_3 = gen_prop19(3).steps[-1].formula
+_TWO_AGENTS = parse("~K[j](r & ~p) & K[i](~p | r) & ~K[j](~r & ~s) & ~K[i](~p & r)"
+                    " & ~K[j](q & ~q)")
+
+# (call, formula, class, prefixes, branches, model JSON or None); the model is
+# sat's model or valid's countermodel.  The figures pin the tableau's search
+# order: the order in which rules fire and bodies reach labels.
+WORK_PINS = [
+    pytest.param(valid, _PROP19_3, FrameClass.K, 312, 219, None, id="prop19-3-K"),
+    pytest.param(valid, _PROP19_3, FrameClass.T, 408, 276, None, id="prop19-3-T"),
+    pytest.param(
+        valid, _kw_chain(10), FrameClass.K, 21, 1,
+        '{"worlds":["w0","w1","w2","w3","w4","w5","w6","w7","w8","w9","w10","w11","w12",'
+        '"w13","w14","w15","w16","w17","w18","w19","w20"],"agents":["i"],"rel":{"i":['
+        '["w0","w1"],["w0","w2"],["w1","w3"],["w1","w4"],["w3","w5"],["w3","w6"],'
+        '["w5","w7"],["w5","w8"],["w7","w9"],["w7","w10"],["w9","w11"],["w9","w12"],'
+        '["w11","w13"],["w11","w14"],["w13","w15"],["w13","w16"],["w15","w17"],'
+        '["w15","w18"],["w17","w19"],["w17","w20"]]},"val":{"p":["w20"]},"point":"w0"}',
+        id="kw-chain-10-K"),
+    # a negated <-> becomes (a & ~b) | (~a & b), in that order
+    pytest.param(
+        valid, parse("(Kw[i]p <-> Kw[j]q) -> Kw[i](p <-> q)"), FrameClass.K, 3, 1,
+        '{"worlds":["w0","w1","w2"],"agents":["i","j"],"rel":{"i":[["w0","w1"],["w0","w2"]],'
+        '"j":[]},"val":{"p":["w1","w2"],"q":["w2"]},"point":"w0"}',
+        id="negated-iff-K"),
+    # diamonds of both agents beside boxes over disjunctions: the order in
+    # which their bodies reach a successor shows in the model; over PF the
+    # diamonds of one agent share their successor
+    pytest.param(
+        sat, _TWO_AGENTS, FrameClass.K, 5, 1,
+        '{"worlds":["w0","w1","w2","w3","w4"],"agents":["i","j"],"rel":{"i":[["w0","w2"]],'
+        '"j":[["w0","w1"],["w0","w3"],["w0","w4"]]},"val":{"p":[],"q":[],"r":["w3"],"s":[]},'
+        '"point":"w0"}',
+        id="two-agents-K"),
+    pytest.param(
+        sat, _TWO_AGENTS, FrameClass.PF, 3, 1,
+        '{"worlds":["w0","w1","w2"],"agents":["i","j"],"rel":{"i":[["w0","w1"]],'
+        '"j":[["w0","w2"]]},"val":{"p":["w1"],"q":[],"r":["w1"],"s":["w2"]},"point":"w0"}',
+        id="two-agents-PF"),
+    # blocking: the open branches have 7 worlds, the models 3 and 5
+    pytest.param(
+        valid, parse("~K[i]~Kw[i]q"), FrameClass.S5, 7, 1,
+        '{"worlds":["w0","w1","w2"],"agents":["i"],"rel":{"i":[["w0","w0"],["w0","w1"],'
+        '["w0","w2"],["w1","w0"],["w1","w1"],["w1","w2"],["w2","w0"],["w2","w1"],'
+        '["w2","w2"]]},"val":{"q":["w2"]},"point":"w0"}',
+        id="blocking-S5"),
+    pytest.param(
+        valid, parse("Kw[i]Kw[j]p | Kw[j]p"), FrameClass.K45, 7, 1,
+        '{"worlds":["w0","w1","w2","w3","w4"],"agents":["i","j"],"rel":{"i":[["w0","w1"],'
+        '["w0","w2"],["w1","w1"],["w1","w2"],["w2","w1"],["w2","w2"]],"j":[["w0","w3"],'
+        '["w0","w4"],["w1","w3"],["w1","w4"],["w3","w3"],["w3","w4"],["w4","w3"],'
+        '["w4","w4"]]},"val":{"p":["w4"]},"point":"w0"}',
+        id="blocking-K45"),
+]
+
+
+@pytest.mark.parametrize("call, f, fc, prefixes, branches, model", WORK_PINS)
+def test_tableau_work_pins(call, f, fc, prefixes, branches, model):
+    r = call(f, fc)
+    found = r.model if call is sat else r.countermodel
+    assert (r.prefixes, r.branches) == (prefixes, branches)
+    assert (found and json.loads(found.to_json())) == (model and json.loads(model))
