@@ -2,7 +2,7 @@
 
 Exit codes: 0 true/ok/valid/satisfiable, 1 false/invalid/unsatisfiable or a
 failed derivation step, 2 usage or input errors and internal errors, 3 exhausted
-search budget.
+search budget or a derivation step with too many letters to tabulate.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from .decide import BudgetExceeded, sat, valid
 from .fixtures import verify_fixtures
 from .formula import ParseError, parse, render
-from .proof import DerivationError, check_derivation, load_derivation
+from .proof import DerivationError, LetterCapExceeded, check_derivation, load_derivation
 from .semantics import (
     FrameClass,
     FrameProperty,
@@ -24,16 +24,6 @@ from .semantics import (
     mc,
 )
 from .translate import el_to_kw, kw_to_el, reduce
-
-# the order used when reporting detected frame properties
-_PROPERTY_ORDER = [
-    FrameProperty.REFLEXIVE,
-    FrameProperty.SERIAL,
-    FrameProperty.TRANSITIVE,
-    FrameProperty.SYMMETRIC,
-    FrameProperty.EUCLIDEAN,
-    FrameProperty.PARTIAL_FUNCTIONAL,
-]
 
 
 class _UsageError(Exception):
@@ -143,6 +133,9 @@ def cmd_check(args) -> int:
         raise _UsageError(str(exc)) from exc
     try:
         check_derivation(d)
+    except LetterCapExceeded as exc:
+        print(str(exc), file=sys.stderr)
+        return 3
     except DerivationError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -153,7 +146,7 @@ def cmd_check(args) -> int:
 def cmd_frame(args) -> int:
     model = _load_model(args.model)
     props = frame_properties(model)
-    print(" ".join(p.value for p in _PROPERTY_ORDER if p in props))
+    print(" ".join(p.value for p in FrameProperty if p in props))
     return 0
 
 

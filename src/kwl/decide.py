@@ -143,29 +143,26 @@ def _close(worlds, pairs, props) -> set:
 class _Branch:
     # labels and boxes are dicts used as insertion-ordered sets (every value
     # None), so that diamonds fire and boxes re-fire in the order the formulas
-    # arrived, whatever the string-hash seed
-    __slots__ = ("worlds", "labels", "base", "boxes", "fired", "det", "splits", "next_id")
+    # arrived, whatever the string-hash seed.  The worlds are the keys of
+    # labels, numbered 0, 1, ... in creation order; world 0 is the root.
+    __slots__ = ("labels", "base", "boxes", "fired", "det", "splits")
 
     def __init__(self):
-        self.worlds: list[int] = []
         self.labels: dict[int, dict] = {}
         self.base: dict[str, set] = {}
         self.boxes: dict[tuple, dict] = {}
         self.fired: set = set()
         self.det: deque = deque()
         self.splits: list = []
-        self.next_id = 0
 
     def copy(self) -> "_Branch":
         br = _Branch.__new__(_Branch)
-        br.worlds = list(self.worlds)
         br.labels = {w: dict(s) for w, s in self.labels.items()}
         br.base = {a: set(p) for a, p in self.base.items()}
         br.boxes = {k: dict(s) for k, s in self.boxes.items()}
         br.fired = set(self.fired)
         br.det = deque(self.det)
         br.splits = list(self.splits)
-        br.next_id = self.next_id
         return br
 
 
@@ -174,7 +171,7 @@ _CLOSED = "closed"
 
 def _rep(br, w) -> int:
     """The first world whose label equals w's: w itself unless w is blocked."""
-    return next(u for u in br.worlds if br.labels[u] == br.labels[w])
+    return next(u for u in br.labels if br.labels[u] == br.labels[w])
 
 
 class _Tableau:
@@ -194,12 +191,10 @@ class _Tableau:
             raise BudgetExceeded(f"tableau budget of {self.budget} nodes exhausted")
 
     def _closed_rel(self, br, agent):
-        return _close(br.worlds, br.base.get(agent, set()), self.props)
+        return _close(br.labels, br.base.get(agent, set()), self.props)
 
     def _new_world(self, br) -> int:
-        w = br.next_id
-        br.next_id += 1
-        br.worlds.append(w)
+        w = len(br.labels)
         br.labels[w] = {}
         self.prefixes += 1
         self._tick()
@@ -250,7 +245,8 @@ class _Tableau:
 
     def _fire_one(self, br) -> bool:
         """Expand the diamonds of one world (or one seriality obligation); True on progress."""
-        for w in br.worlds:
+        # both loops return right after _new_world, so labels never grows under them
+        for w in br.labels:
             dias = [f for f in br.labels[w]
                     if isinstance(f, _Dia) and (w, f) not in br.fired]
             if not dias:
@@ -278,7 +274,7 @@ class _Tableau:
                 self._add_edge(br, agent, w, v)
             return True
         if FrameProperty.SERIAL in self.props:
-            for w in br.worlds:
+            for w in br.labels:
                 for agent in self.agents:
                     if not br.boxes.get((w, agent)):
                         continue
@@ -349,8 +345,8 @@ class _Tableau:
         return self.search(br)
 
     def extract(self, br, original: Formula, requirements) -> KripkeModel:
-        rep = {w: _rep(br, w) if self.blocking else w for w in br.worlds}
-        keep = [w for w in br.worlds if rep[w] == w]
+        rep = {w: _rep(br, w) if self.blocking else w for w in br.labels}
+        keep = [w for w in br.labels if rep[w] == w]
         name = {w: f"w{idx}" for idx, w in enumerate(keep)}
         rel = {}
         for agent in self.agents:
@@ -363,7 +359,7 @@ class _Tableau:
             rel[agent] = [(name[x], name[y]) for (x, y) in sorted(closed)]
         val = {p: [name[w] for w in keep if Prop(p) in br.labels[w]]
                for p in sorted(props_of(original))}
-        point = name[rep[br.worlds[0]]]
+        point = name[rep[0]]
         model = KripkeModel([name[w] for w in keep], self.agents, rel, val, point=point)
         if not mc(model, point, original):
             raise RuntimeError(f"extracted model fails {original}")

@@ -9,7 +9,7 @@ fixtures/ must stay equal to them (there is a test for that too).
 from __future__ import annotations
 
 from kwl.formula import parse
-from kwl.semantics import FrameProperty, KripkeModel, mc, model_valid, restrict
+from kwl.semantics import FrameProperty, KripkeModel, frame_properties, mc, model_valid, restrict
 
 
 def m1() -> KripkeModel:
@@ -141,7 +141,7 @@ def verify_fixtures() -> list[str]:
           and R.val["q"] == frozenset({"t"}))
 
     for name, build in (("pair_serial_m", pair_serial_m), ("pair_serial_n", pair_serial_n)):
-        props = build().frame_props()
+        props = frame_properties(build())
         claim(f"{name}: serial, transitive, euclidean, partial-functional",
               {P.SERIAL, P.TRANSITIVE, P.EUCLIDEAN, P.PARTIAL_FUNCTIONAL} <= props)
         claim(f"{name}: not reflexive, not symmetric",
@@ -151,7 +151,7 @@ def verify_fixtures() -> list[str]:
           and not mc(pair_serial_n(), "s", parse("K[i]p")))
 
     for name, build in (("pair_sym_m", pair_sym_m), ("pair_sym_n", pair_sym_n)):
-        props = build().frame_props()
+        props = frame_properties(build())
         claim(f"{name}: symmetric and partial-functional",
               {P.SYMMETRIC, P.PARTIAL_FUNCTIONAL} <= props)
     claim("pair_sym: K[i]p distinguishes the points",
@@ -159,8 +159,8 @@ def verify_fixtures() -> list[str]:
           and not mc(pair_sym_n(), "s", parse("K[i]p")))
 
     claim("f1: partial-functional and nothing else",
-          f1().frame_props() == {P.PARTIAL_FUNCTIONAL})
-    claim("f2: all six frame properties", f2().frame_props() == set(P))
+          frame_properties(f1()) == {P.PARTIAL_FUNCTIONAL})
+    claim("f2: all six frame properties", frame_properties(f2()) == set(P))
 
     M = m27()
     claim("m27: Kw[i]p at s", mc(M, "s", parse("Kw[i]p")))
@@ -186,7 +186,7 @@ def verify_fixtures() -> list[str]:
           R is not None and R.worlds == ("s", "t1"))
 
     M = g4()
-    claim("g4: transitive", P.TRANSITIVE in M.frame_props())
+    claim("g4: transitive", P.TRANSITIVE in frame_properties(M))
     claim("g4: ~Kw[i]p at s", mc(M, "s", parse("~Kw[i]p")))
     claim("g4: Kw[i]q & ~Kw[i](q & p) at s",
           mc(M, "s", parse("Kw[i]q & ~Kw[i](q & p)")))

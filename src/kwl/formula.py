@@ -137,6 +137,17 @@ class Announce(Formula):
 TOP = Top()
 BOT = Bot()
 
+# the binary connectives, loosest first: (node, symbol, right associative).
+# parse and render both read it; a connective's level is its index.
+_CONNECTIVES = (
+    (Iff, "<->", True),
+    (Implies, "->", True),
+    (Or, "|", False),
+    (And, "&", False),
+)
+_LEVEL = {kind: level for level, (kind, _, _) in enumerate(_CONNECTIVES)}
+_UNARY = len(_CONNECTIVES)  # the level of every other node
+
 
 def conj(parts: Sequence[Formula]) -> Formula:
     """Left-associated conjunction of a non-empty-or-empty sequence."""
@@ -174,6 +185,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 
 class Language(Enum):
+    # ordered so that the first tag admitting a formula is its least (classify_language)
     EL = "EL"
     PLKw = "PLKw"
     PLKwK = "PLKwK"
@@ -200,22 +212,14 @@ def in_language(f: Formula, lang: Language) -> bool:
 
 
 def classify_language(f: Formula) -> Language:
-    """Least language tag containing f.
+    """Least language tag containing f: the first in declaration order whose
+    operator set holds f's operators.
 
     A purely Boolean formula sits in both EL and PLKw; EL is returned as the
     canonical answer for that corner.
     """
     ops = _operators(f)
-    has_kw, has_k, has_ann = Kw in ops, K in ops, Announce in ops
-    if has_ann:
-        if has_k:
-            return Language.PLKwAK
-        return Language.PLKwA
-    if has_kw and has_k:
-        return Language.PLKwK
-    if has_kw:
-        return Language.PLKw
-    return Language.EL
+    return next(lang for lang in Language if ops <= _ALLOWED[lang])
 
 
 def props_of(f: Formula) -> set[str]:
@@ -248,18 +252,18 @@ def substitute(f: Formula, prop: str, replacement: Formula) -> Formula:
 
 
 def complexity(f: Formula) -> int:
-    match f:
-        case Top() | Bot() | Prop(_):
-            return 1
-        case Not(sub):
-            return 1 + complexity(sub)
-        case Kw(_, sub) | K(_, sub):
-            return 2 + complexity(sub)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return 1 + max(complexity(a), complexity(b))
-        case Announce(a, b):
-            return (4 + complexity(a)) * complexity(b)
-    raise TypeError(f"not a formula: {f!r}")
+    kind = type(f)
+    if kind is Announce:
+        return (4 + complexity(f.announced)) * complexity(f.body)
+    if kind is Top or kind is Bot or kind is Prop:
+        return 1  # no children() call, which would cost a leaf one more frame
+    # a plain loop: a generator or map() inside max() costs a stack frame per level
+    deepest = 0
+    for g in f.children():
+        c = complexity(g)
+        if c > deepest:
+            deepest = c
+    return (2 if isinstance(f, Modal) else 1) + deepest
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +271,7 @@ def complexity(f: Formula) -> int:
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<iff><->)"
-    r"|(?P<arrow>->)"
-    r"|(?P<op>[~&|()\[\]])"
+    r"|(?P<op><->|->|[~&|()\[\]])"
     r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
 )
 
@@ -308,8 +310,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _Parser:
     """Recursive descent over the token list.
 
-    Precedence, loosest first: <->, -> (right associative), |, &, then the
-    unary prefixes ~, Kw[i], K[i] and [f].
+    The binary connectives bind as _CONNECTIVES says, then come the unary
+    prefixes ~, Kw[i], K[i] and [f].
     """
 
     def __init__(self, toks, props, agents):
@@ -333,32 +335,21 @@ class _Parser:
                              tok[2], (what,))
         return tok
 
-    def formula(self) -> Formula:
-        left = self.implication()
-        if self.peek()[0] == "iff":
+    def formula(self, level: int = 0) -> Formula:
+        """A formula whose binary connectives bind no looser than _CONNECTIVES[level]."""
+        kind, symbol, right_assoc = _CONNECTIVES[level]
+        # the tightest level calls unary() itself, so that each parenthesis
+        # costs no more stack frames than one per level
+        tightest = level + 1 == _UNARY
+        left = self.unary() if tightest else self.formula(level + 1)
+        if right_assoc:
+            if self.peek()[1] != symbol:
+                return left
             self.next()
-            return Iff(left, self.formula())
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "arrow":
+            return kind(left, self.formula(level))
+        while self.peek()[1] == symbol:
             self.next()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek()[1] == "|":
-            self.next()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.peek()[1] == "&":
-            self.next()
-            left = And(left, self.unary())
+            left = kind(left, self.unary() if tightest else self.formula(level + 1))
         return left
 
     def agent_name(self) -> str:
@@ -420,29 +411,9 @@ def parse(text: str, *, props: Optional[set] = None, agents: Optional[set] = Non
 # ---------------------------------------------------------------------------
 # rendering
 
-_PREC_IFF = 0
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
-
-
-def _prec(f: Formula) -> int:
-    match f:
-        case Iff(_, _):
-            return _PREC_IFF
-        case Implies(_, _):
-            return _PREC_IMPLIES
-        case Or(_, _):
-            return _PREC_OR
-        case And(_, _):
-            return _PREC_AND
-    return _PREC_UNARY
-
-
 def _wrap(f: Formula, limit: int) -> str:
     s = render(f)
-    if _prec(f) < limit:
+    if _LEVEL.get(type(f), _UNARY) < limit:
         return "(" + s + ")"
     return s
 
@@ -457,45 +428,31 @@ def render(f: Formula) -> str:
         case Prop(name):
             return name
         case Not(sub):
-            return "~" + _wrap(sub, _PREC_UNARY)
+            return "~" + _wrap(sub, _UNARY)
         case Kw(agent, sub):
-            return f"Kw[{agent}]" + _wrap(sub, _PREC_UNARY)
+            return f"Kw[{agent}]" + _wrap(sub, _UNARY)
         case K(agent, sub):
-            return f"K[{agent}]" + _wrap(sub, _PREC_UNARY)
+            return f"K[{agent}]" + _wrap(sub, _UNARY)
         case Announce(announced, body):
-            return "[" + render(announced) + "]" + _wrap(body, _PREC_UNARY)
-        case And(a, b):
-            # left associative: left child may sit at the same level
-            return _wrap(a, _PREC_AND) + " & " + _wrap(b, _PREC_AND + 1)
-        case Or(a, b):
-            return _wrap(a, _PREC_OR) + " | " + _wrap(b, _PREC_OR + 1)
-        case Implies(a, b):
-            # right associative
-            return _wrap(a, _PREC_IMPLIES + 1) + " -> " + _wrap(b, _PREC_IMPLIES)
-        case Iff(a, b):
-            return _wrap(a, _PREC_IFF + 1) + " <-> " + _wrap(b, _PREC_IFF)
+            return "[" + render(announced) + "]" + _wrap(body, _UNARY)
+        case Binary(left=a, right=b):
+            level = _LEVEL[type(f)]
+            _, symbol, right_assoc = _CONNECTIVES[level]
+            # the operand on the associative side may sit at the same level
+            return f"{_wrap(a, level + right_assoc)} {symbol} {_wrap(b, level + 1 - right_assoc)}"
     raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
-_CORE_MODALS = {
-    Language.EL: (K,),
-    Language.PLKw: (Kw,),
-    Language.PLKwK: (Kw, K),
-    Language.PLKwA: (Kw,),
-    Language.PLKwAK: (Kw, K),
-}
-
-
 def enumerate_formulas(props: Sequence[str], agents: Sequence[str],
                        lang: Language, max_size: int) -> Iterator[Formula]:
     """All core-connective formulas (top, p, ~, &, modalities, and for the
     announcement languages [f]g) with at most max_size AST nodes, smallest
     first.  Every tree is produced exactly once."""
-    modals = _CORE_MODALS[lang]
-    announcements = lang in (Language.PLKwA, Language.PLKwAK)
+    modals = [m for m in (Kw, K) if m in _ALLOWED[lang]]
+    announcements = Announce in _ALLOWED[lang]
     by_size: list[list[Formula]] = [[]]  # index 0 unused
 
     for size in range(1, max_size + 1):

@@ -154,64 +154,52 @@ def instantiate(schema: Formula, bindings: dict) -> Formula:
 # boolean reasoning under modal abstraction
 
 
-def _abstract(f: Formula, table: dict) -> tuple:
-    match f:
-        case Top():
-            return ("const", True)
-        case Bot():
-            return ("const", False)
-        case Prop(_) | Kw(_, _) | K(_, _) | Announce(_, _):
-            if f not in table:
-                table[f] = len(table)
-            return ("var", table[f])
-        case Not(sub):
-            return ("not", _abstract(sub, table))
-        case And(a, b):
-            return ("and", _abstract(a, table), _abstract(b, table))
-        case Or(a, b):
-            return ("or", _abstract(a, table), _abstract(b, table))
-        case Implies(a, b):
-            return ("imp", _abstract(a, table), _abstract(b, table))
-        case Iff(a, b):
-            return ("iff", _abstract(a, table), _abstract(b, table))
-    raise TypeError(f"not a formula: {f!r}")
+# the 2^n-bit masks grow quadratically costly; 20 letters stays near a second
+_LETTER_CAP = 20
 
 
-def _eval_bits(tree: tuple, masks: list, full: int) -> int:
-    op = tree[0]
-    if op == "const":
-        return full if tree[1] else 0
-    if op == "var":
-        return masks[tree[1]]
-    if op == "not":
-        return full ^ _eval_bits(tree[1], masks, full)
-    a = _eval_bits(tree[1], masks, full)
-    b = _eval_bits(tree[2], masks, full)
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "imp":
-        return (full ^ a) | b
-    return full ^ (a ^ b)  # iff
+def _bits(f: Formula, masks: dict, full: int) -> int:
+    """Truth table of f as a bitmask, one bit per row; letters read masks."""
+    kind = type(f)
+    if kind is Not:
+        return full ^ _bits(f.sub, masks, full)
+    if kind is And:
+        return _bits(f.left, masks, full) & _bits(f.right, masks, full)
+    if kind is Or:
+        return _bits(f.left, masks, full) | _bits(f.right, masks, full)
+    if kind is Implies:
+        return (full ^ _bits(f.left, masks, full)) | _bits(f.right, masks, full)
+    if kind is Iff:
+        return full ^ _bits(f.left, masks, full) ^ _bits(f.right, masks, full)
+    if kind is Top:
+        return full
+    if kind is Bot:
+        return 0
+    return masks[f]
 
 
 def is_bool_taut(f: Formula) -> bool:
-    """Truth-table tautology after abstracting maximal modal subformulas."""
-    table: dict = {}
-    tree = _abstract(f, table)
-    n = len(table)
-    # the 2^n-bit masks grow quadratically costly; 20 letters stays near a second
-    if n > 20:
-        raise ValueError(f"boolean abstraction needs {n} letters (limit 20)")
+    """Truth-table tautology after abstracting maximal modal subformulas.
+
+    The letters are the propositions and the maximal Kw, K and announcement
+    subformulas, numbered in left-to-right preorder."""
+    letters: dict = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Prop, Kw, K, Announce)):
+            letters.setdefault(g, len(letters))
+        else:
+            stack += g.children()[::-1]
+    n = len(letters)
+    if n > _LETTER_CAP:
+        raise ValueError(f"boolean abstraction needs {n} letters (limit {_LETTER_CAP})")
     full = (1 << (1 << n)) - 1
-    masks = []
-    for i in range(n):
+    masks = {}
+    for g, i in letters.items():
         run = 1 << i
-        one_period = ((1 << run) - 1) << run
-        rep = full // ((1 << (2 * run)) - 1)
-        masks.append(one_period * rep)
-    return _eval_bits(tree, masks, full) == full
+        masks[g] = (((1 << run) - 1) << run) * (full // ((1 << (2 * run)) - 1))
+    return _bits(f, masks, full) == full
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +264,11 @@ class DerivationError(ValueError):
     def __init__(self, index: int, message: str):
         super().__init__(f"step {index}: {message}" if index else message)
         self.index = index
+
+
+class LetterCapExceeded(DerivationError):
+    """A taut or pc step has too many letters to tabulate: it is left
+    unchecked, not refuted."""
 
 
 _STEP_RE = re.compile(r"(\d+)\.\s*(.*?)\s*;\s*(.*)$")
@@ -345,7 +338,7 @@ def _taut(step, f, what):
     try:
         ok = is_bool_taut(f)
     except ValueError as e:
-        raise DerivationError(step.index, str(e)) from None
+        raise LetterCapExceeded(step.index, str(e)) from None
     if not ok:
         raise DerivationError(step.index, what)
 

@@ -24,10 +24,11 @@ from kwl.formula import (
 
 
 class FrameProperty(Enum):
-    SERIAL = "serial"
+    # declared in the order `kwl frame` prints them
     REFLEXIVE = "reflexive"
-    SYMMETRIC = "symmetric"
+    SERIAL = "serial"
     TRANSITIVE = "transitive"
+    SYMMETRIC = "symmetric"
     EUCLIDEAN = "euclidean"
     PARTIAL_FUNCTIONAL = "partial-functional"
 
@@ -125,9 +126,6 @@ class KripkeModel:
 
     def successors(self, agent: str, world: str) -> frozenset[str]:
         return self.succ.get(agent, {}).get(world, _EMPTY)
-
-    def frame_props(self) -> set["FrameProperty"]:
-        return frame_properties(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KripkeModel):
@@ -278,14 +276,17 @@ def _ext(m: KripkeModel, f: Formula, ws: frozenset[str], memo: dict) -> frozense
     raise TypeError(f"not a formula: {f!r}")
 
 
-def frame_valid(model: KripkeModel, f: Formula, *, max_bits: int = 20) -> bool:
+_FRAME_VALID_BITS = 20
+
+
+def frame_valid(model: KripkeModel, f: Formula) -> bool:
     """Truth of f at every world under every valuation of its propositions
     over the model's frame.  Exhaustive, so the number of proposition/world
     bits is capped.  One model of the frame takes each valuation in turn."""
     props, n = sorted(props_of(f)), len(model.worlds)
     bits = len(props) * n
-    if bits > max_bits:
-        raise ValueError(f"{bits} valuation bits exceed the cap of {max_bits}")
+    if bits > _FRAME_VALID_BITS:
+        raise ValueError(f"{bits} valuation bits exceed the cap of {_FRAME_VALID_BITS}")
     candidate = KripkeModel(model.worlds, model.agents, model.rel, {})
     for mask in range(1 << bits):
         candidate.val = {p: frozenset(w for j, w in enumerate(model.worlds)

@@ -5,6 +5,7 @@ import json
 from helpers import ROOT
 from kwl.cli import main
 from kwl.formula import parse
+from kwl.proof import format_derivation, gen_prop19
 from kwl.semantics import load_model, mc
 
 M1 = str(ROOT / "fixtures" / "m1.json")
@@ -140,6 +141,15 @@ def test_check(capsys, tmp_path):
     garbled.write_text("system PLKw\n\n7. p ; taut\n")
     code, _, err = run(capsys, "check", str(garbled))
     assert code == 2
+
+
+def test_letter_cap_is_exit_3(capsys, tmp_path):
+    # the conclusion is K-valid; step 61 is too wide to tabulate, not wrong
+    path = tmp_path / "prop19_6.prf"
+    path.write_text(format_derivation(gen_prop19(6)))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (3, "")
+    assert err == "step 61: boolean abstraction needs 21 letters (limit 20)\n"
 
 
 def test_frame(capsys):

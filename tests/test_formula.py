@@ -94,6 +94,34 @@ def test_render_pins():
     assert render(BOT) == "bot"
 
 
+def test_render_pins_each_connective_inside_each_other():
+    # (outer, inner, inner on the left, inner on the right): parentheses only
+    # where the precedence or the associativity needs them
+    pins = [
+        (And, And, "p & q & r", "p & (q & r)"),
+        (And, Or, "(p | q) & r", "p & (q | r)"),
+        (And, Implies, "(p -> q) & r", "p & (q -> r)"),
+        (And, Iff, "(p <-> q) & r", "p & (q <-> r)"),
+        (Or, And, "p & q | r", "p | q & r"),
+        (Or, Or, "p | q | r", "p | (q | r)"),
+        (Or, Implies, "(p -> q) | r", "p | (q -> r)"),
+        (Or, Iff, "(p <-> q) | r", "p | (q <-> r)"),
+        (Implies, And, "p & q -> r", "p -> q & r"),
+        (Implies, Or, "p | q -> r", "p -> q | r"),
+        (Implies, Implies, "(p -> q) -> r", "p -> q -> r"),
+        (Implies, Iff, "(p <-> q) -> r", "p -> (q <-> r)"),
+        (Iff, And, "p & q <-> r", "p <-> q & r"),
+        (Iff, Or, "p | q <-> r", "p <-> q | r"),
+        (Iff, Implies, "p -> q <-> r", "p <-> q -> r"),
+        (Iff, Iff, "(p <-> q) <-> r", "p <-> q <-> r"),
+    ]
+    for outer, inner, on_left, on_right in pins:
+        assert render(outer(inner(P, Q), R)) == on_left
+        assert render(outer(P, inner(Q, R))) == on_right
+        assert parse(on_left) == outer(inner(P, Q), R)
+        assert parse(on_right) == outer(P, inner(Q, R))
+
+
 def test_render_parse_round_trip_enumerated():
     for f in enumerate_formulas(["p", "q"], ["i", "j"], Language.PLKwAK, 5):
         assert parse(render(f)) == f
@@ -107,17 +135,24 @@ def test_render_parse_round_trip_random():
         assert parse(render(f)) == f
 
 
-_formula_strategy = st.deferred(lambda: st.one_of(
+# st.recursive rather than a self-referential st.deferred: drawing the
+# deferred trees took most of a minute for 200 examples, while these are drawn
+# in about a second and are larger at every quantile of the node count
+_agents = st.sampled_from(["i", "j"])
+_formula_strategy = st.recursive(
     st.sampled_from([P, Q, R, TOP, BOT]),
-    st.builds(Not, _formula_strategy),
-    st.builds(Kw, st.sampled_from(["i", "j"]), _formula_strategy),
-    st.builds(K, st.sampled_from(["i", "j"]), _formula_strategy),
-    st.builds(And, _formula_strategy, _formula_strategy),
-    st.builds(Or, _formula_strategy, _formula_strategy),
-    st.builds(Implies, _formula_strategy, _formula_strategy),
-    st.builds(Iff, _formula_strategy, _formula_strategy),
-    st.builds(Announce, _formula_strategy, _formula_strategy),
-))
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(Kw, _agents, sub),
+        st.builds(K, _agents, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Iff, sub, sub),
+        st.builds(Announce, sub, sub),
+    ),
+    max_leaves=1000,
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,6 +224,14 @@ def test_deep_formulas_are_walked_without_recursion():
     assert classify_language(f) == Language.PLKw
 
 
+def test_parser_and_complexity_depth():
+    # one frame per precedence level for each parenthesis, and one per node
+    assert parse("(" * 180 + "p" + ")" * 180) == P
+    deep = parse("~" * 700 + "p")
+    assert complexity(deep) == 701
+    assert complexity(Kw("i", deep)) == 703
+
+
 def test_language_classification():
     assert classify_language(parse("p & ~q")) == Language.EL
     assert classify_language(parse("K[i]p")) == Language.EL
@@ -227,3 +270,14 @@ def test_enumeration_ordering_and_membership():
     assert sizes == sorted(sizes)
     assert forms[0] == TOP
     assert Kw("i", And(P, P)) in forms
+    # the modalities and announcements of each language come from its operator set
+    size_two = {lang: [render(f) for f in enumerate_formulas(["p"], ["i"], lang, 2)][2:]
+                for lang in Language}
+    assert size_two == {
+        Language.EL: ["~top", "~p", "K[i]top", "K[i]p"],
+        Language.PLKw: ["~top", "~p", "Kw[i]top", "Kw[i]p"],
+        Language.PLKwK: ["~top", "~p", "Kw[i]top", "Kw[i]p", "K[i]top", "K[i]p"],
+        Language.PLKwA: ["~top", "~p", "Kw[i]top", "Kw[i]p"],
+        Language.PLKwAK: ["~top", "~p", "Kw[i]top", "Kw[i]p", "K[i]top", "K[i]p"],
+    }
+    assert render(list(enumerate_formulas(["p"], ["i"], Language.PLKwA, 3))[-1]) == "[p]p"

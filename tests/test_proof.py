@@ -15,6 +15,7 @@ from kwl.proof import (
     SYSTEMS,
     Derivation,
     DerivationError,
+    LetterCapExceeded,
     Step,
     check_derivation,
     format_derivation,
@@ -123,6 +124,15 @@ def test_is_bool_taut_letter_budget():
     letters = [Kw("i", Prop(f"v{k}")) for k in range(20)]
     assert not is_bool_taut(disj(letters))
     assert is_bool_taut(Or(disj(letters), Not(letters[0])))
+
+
+def test_is_bool_taut_depth():
+    # the walk and the evaluation each take at most one frame per level
+    f = parse("p | ~p")
+    for _ in range(700):
+        f = Not(f)
+    assert is_bool_taut(f)
+    assert not is_bool_taut(Not(f))
 
 
 @settings(max_examples=300, deadline=None)
@@ -372,6 +382,12 @@ def test_gen_prop19():
         " & Kw[i](x1 -> y1) & Kw[i](x2 -> y2) -> Kw[i]y1 | Kw[i]y2")
     with pytest.raises(ValueError):
         gen_prop19(0)
+    # from k = 6 a pc step is too wide to tabulate: left unchecked, not refuted
+    with pytest.raises(LetterCapExceeded) as exc:
+        check_derivation(gen_prop19(6))
+    assert isinstance(exc.value, DerivationError)
+    assert exc.value.index == 61
+    assert str(exc.value) == "step 61: boolean abstraction needs 21 letters (limit 20)"
 
 
 def test_mutated_corpus_step_is_rejected():
