@@ -2,7 +2,7 @@
 
 Exit codes: 0 true/ok/valid/satisfiable, 1 false/invalid/unsatisfiable or a
 failed derivation step, 2 usage or input errors and internal errors, 3 exhausted
-search budget or a derivation step with too many letters to tabulate.
+search budget or a derivation step whose tautology check gave up at its work cap.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from .decide import BudgetExceeded, sat, valid
 from .fixtures import verify_fixtures
 from .formula import ParseError, parse, render
-from .proof import DerivationError, LetterCapExceeded, check_derivation, load_derivation
+from .proof import DerivationError, StepUndecided, check_derivation, load_derivation
 from .semantics import (
     FrameClass,
     FrameProperty,
@@ -133,7 +133,7 @@ def cmd_check(args) -> int:
         raise _UsageError(str(exc)) from exc
     try:
         check_derivation(d)
-    except LetterCapExceeded as exc:
+    except StepUndecided as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except DerivationError as exc:

@@ -22,7 +22,6 @@ from .formula import (
     Formula,
     Iff,
     Implies,
-    K,
     Kw,
     Language,
     Modal,
@@ -152,54 +151,130 @@ def instantiate(schema: Formula, bindings: dict) -> Formula:
 
 # ---------------------------------------------------------------------------
 # boolean reasoning under modal abstraction
+#
+# A taut or pc step holds when the negation of its formula is unsatisfiable
+# once the propositions and the maximal Kw, K and announcement subformulas
+# are read as letters.  The negation is put in a definitional clause form
+# (Tseitin 1968, one-sided definitions) and searched by DPLL with unit
+# propagation (Davis, Logemann & Loveland 1962).
+
+# literals scanned during propagation before a check gives up, counted as the
+# lengths of the clauses visited: about a second.  The cost of a decision grows
+# with the number and length of the clauses, so a cap on decisions alone would
+# not bound the time.
+_WORK_CAP = 1 << 23
 
 
-# the 2^n-bit masks grow quadratically costly; 20 letters stays near a second
-_LETTER_CAP = 20
+def _clauses(f: Formula) -> list:
+    """Clauses, lists of nonzero ints, satisfiable exactly when ~f is.
+
+    A goal is a clause under construction: literals so far, and (formula,
+    polarity) items still to flatten into it.  Disjunctive shapes flatten in
+    place.  A conjunctive shape that is the whole goal splits into one goal per
+    conjunct; inside a larger clause it becomes a fresh variable x, one per
+    node and polarity, with the clauses ~x | conjunct."""
+    letters: dict = {}
+    fresh: dict = {}  # (id of a node, polarity) -> its variable
+    clauses = []
+    goals = [([], [(f, False)])]
+    while goals:
+        clause, items = goals.pop()
+        while items:
+            g, pos = items.pop()
+            # an if-chain on the exact type, as in semantics._ext
+            kind = type(g)
+            if kind is Not:
+                items.append((g.sub, not pos))
+                continue
+            if kind is Top or kind is Bot:
+                if (kind is Top) == pos:
+                    break  # the clause holds
+                continue
+            if kind is And or kind is Or or kind is Implies:
+                left = (g.left, pos != (kind is Implies))  # a -> b is ~a | b
+                if (kind is And) != pos:  # a disjunction
+                    items += ((g.right, pos), left)
+                    continue
+                conjuncts = ([left], [(g.right, pos)])
+            elif kind is Iff:
+                conjuncts = ([(g.left, not pos), (g.right, True)],
+                             [(g.left, pos), (g.right, False)])
+            else:
+                var = letters.setdefault(g, len(letters) + len(fresh) + 1)
+                clause.append(var if pos else -var)
+                continue
+            if not clause and not items:
+                goals += [([], c) for c in conjuncts]
+                break
+            key = (id(g), pos)
+            var = fresh.get(key)
+            if var is None:
+                var = fresh[key] = len(letters) + len(fresh) + 1
+                goals += [([-var], c) for c in conjuncts]
+            clause.append(var)
+        else:
+            clauses.append(clause)
+    return clauses
 
 
-def _bits(f: Formula, masks: dict, full: int) -> int:
-    """Truth table of f as a bitmask, one bit per row; letters read masks."""
-    kind = type(f)
-    if kind is Not:
-        return full ^ _bits(f.sub, masks, full)
-    if kind is And:
-        return _bits(f.left, masks, full) & _bits(f.right, masks, full)
-    if kind is Or:
-        return _bits(f.left, masks, full) | _bits(f.right, masks, full)
-    if kind is Implies:
-        return (full ^ _bits(f.left, masks, full)) | _bits(f.right, masks, full)
-    if kind is Iff:
-        return full ^ _bits(f.left, masks, full) ^ _bits(f.right, masks, full)
-    if kind is Top:
-        return full
-    if kind is Bot:
-        return 0
-    return masks[f]
+def _satisfiable(clauses: list) -> bool:
+    """DPLL: propagate unit clauses, then branch on a literal of the shortest
+    open clause; on a conflict flip the latest decision not yet flipped.
+    Raises ValueError once the clauses visited hold more than _WORK_CAP
+    literals in all."""
+    true: set = set()  # the literals assigned true
+    trail = []  # the same literals in the order assigned
+    decisions = []  # (trail length before it, literal) of each unflipped decision
+    work = 0
+    while True:
+        changed, conflict = True, False
+        while changed and not conflict:
+            changed, branch, shortest = False, None, 0
+            for clause in clauses:
+                work += len(clause)
+                n = 0
+                for lit in clause:
+                    if lit in true:
+                        break
+                    if -lit not in true:
+                        n += 1
+                        last = lit
+                else:
+                    if n == 1:
+                        true.add(last)
+                        trail.append(last)
+                        changed = True
+                    elif n == 0:
+                        conflict = True
+                        break
+                    elif branch is None or n < shortest:
+                        branch, shortest = last, n
+            if work > _WORK_CAP:
+                raise ValueError(f"tautology check gave up after scanning {work} literals "
+                                 f"(limit {_WORK_CAP})")
+        if conflict:
+            if not decisions:
+                return False
+            mark, lit = decisions.pop()
+            true.difference_update(trail[mark:])
+            del trail[mark:]
+            lit = -lit
+        elif branch is None:
+            return True
+        else:
+            decisions.append((len(trail), branch))
+            lit = branch
+        true.add(lit)
+        trail.append(lit)
 
 
 def is_bool_taut(f: Formula) -> bool:
-    """Truth-table tautology after abstracting maximal modal subformulas.
+    """Tautology after abstracting maximal modal subformulas.
 
     The letters are the propositions and the maximal Kw, K and announcement
-    subformulas, numbered in left-to-right preorder."""
-    letters: dict = {}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (Prop, Kw, K, Announce)):
-            letters.setdefault(g, len(letters))
-        else:
-            stack += g.children()[::-1]
-    n = len(letters)
-    if n > _LETTER_CAP:
-        raise ValueError(f"boolean abstraction needs {n} letters (limit {_LETTER_CAP})")
-    full = (1 << (1 << n)) - 1
-    masks = {}
-    for g, i in letters.items():
-        run = 1 << i
-        masks[g] = (((1 << run) - 1) << run) * (full // ((1 << (2 * run)) - 1))
-    return _bits(f, masks, full) == full
+    subformulas, compared by value.  Raises ValueError when the search passes
+    its work cap: the formula is then neither confirmed nor refuted."""
+    return not _satisfiable(_clauses(f))
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +341,9 @@ class DerivationError(ValueError):
         self.index = index
 
 
-class LetterCapExceeded(DerivationError):
-    """A taut or pc step has too many letters to tabulate: it is left
-    unchecked, not refuted."""
+class StepUndecided(DerivationError):
+    """The tautology check of a taut or pc step passed its work cap: the step
+    is left unchecked, not refuted."""
 
 
 _STEP_RE = re.compile(r"(\d+)\.\s*(.*?)\s*;\s*(.*)$")
@@ -338,7 +413,7 @@ def _taut(step, f, what):
     try:
         ok = is_bool_taut(f)
     except ValueError as e:
-        raise LetterCapExceeded(step.index, str(e)) from None
+        raise StepUndecided(step.index, str(e)) from None
     if not ok:
         raise DerivationError(step.index, what)
 

@@ -21,11 +21,71 @@ from kwl.formula import (
     Or,
     Prop,
     Top,
+    conj,
+    disj,
     props_of,
 )
 from kwl.semantics import FrameClass, FrameProperty, KripkeModel, satisfies_class
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def abstraction_letters(f: Formula) -> dict:
+    """The letters of f's boolean abstraction, numbered in left-to-right
+    preorder: its propositions and maximal Kw, K and announcement subformulas."""
+    letters: dict = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Prop, Kw, K, Announce)):
+            letters.setdefault(g, len(letters))
+        else:
+            stack += g.children()[::-1]
+    return letters
+
+
+def reference_taut(f: Formula) -> bool:
+    """Truth-table tautology check under the same abstraction as
+    kwl.proof.is_bool_taut: one bit per row of a 2^n-bit integer, and each
+    letter reads an alternating mask.  The oracle for the DPLL check;
+    exponential in the number of letters."""
+    letters = abstraction_letters(f)
+    full = (1 << (1 << len(letters))) - 1
+    masks = {}
+    for g, i in letters.items():
+        run = 1 << i
+        masks[g] = (((1 << run) - 1) << run) * (full // ((1 << (2 * run)) - 1))
+
+    def bits(g):
+        match g:
+            case Not(sub):
+                return full ^ bits(sub)
+            case And(a, b):
+                return bits(a) & bits(b)
+            case Or(a, b):
+                return bits(a) | bits(b)
+            case Implies(a, b):
+                return (full ^ bits(a)) | bits(b)
+            case Iff(a, b):
+                return full ^ bits(a) ^ bits(b)
+            case Top():
+                return full
+            case Bot():
+                return 0
+        return masks[g]
+
+    return bits(f) == full
+
+
+def pigeonhole(holes: int) -> Formula:
+    """The pigeonhole tautology for holes + 1 pigeons: if every pigeon sits in
+    some hole, two pigeons share one.  Hard for DPLL (Haken 1985)."""
+    at = lambda i, j: Prop(f"p{i}_{j}")
+    pigeons = range(holes + 1)
+    placed = conj([disj([at(i, j) for j in range(holes)]) for i in pigeons])
+    shared = disj([And(at(i, j), at(k, j))
+                   for j in range(holes) for i in pigeons for k in pigeons if i < k])
+    return Implies(placed, shared)
 
 
 def node_count(f: Formula) -> int:

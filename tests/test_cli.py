@@ -1,11 +1,17 @@
 """Command-line interface: verdict lines and the exit-code contract."""
 
+import contextlib
+import io
 import json
+import random
 
-from helpers import ROOT
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import ROOT, pigeonhole, random_formula
 from kwl.cli import main
-from kwl.formula import parse
-from kwl.proof import format_derivation, gen_prop19
+from kwl.formula import Language, parse, render
+from kwl.proof import SYSTEMS, format_derivation, gen_prop19
 from kwl.semantics import load_model, mc
 
 M1 = str(ROOT / "fixtures" / "m1.json")
@@ -143,13 +149,23 @@ def test_check(capsys, tmp_path):
     assert code == 2
 
 
-def test_letter_cap_is_exit_3(capsys, tmp_path):
-    # the conclusion is K-valid; step 61 is too wide to tabulate, not wrong
+def test_gen_prop19_6_checks_via_cli(capsys, tmp_path):
+    # the Boolean abstraction of step 61 has 21 letters
     path = tmp_path / "prop19_6.prf"
     path.write_text(format_derivation(gen_prop19(6)))
     code, out, err = run(capsys, "check", str(path))
-    assert (code, out) == (3, "")
-    assert err == "step 61: boolean abstraction needs 21 letters (limit 20)\n"
+    assert (code, out, err) == (0, "ok\n", "")
+
+
+def test_undecided_step_is_exit_3(capsys, tmp_path):
+    # a pigeonhole step is a tautology; past the work cap it is left unchecked
+    for holes, want in ((4, 0), (7, 3)):
+        path = tmp_path / f"php{holes}.prf"
+        path.write_text(f"system PLKw\n\n1. {render(pigeonhole(holes))} ; taut\n")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == want, holes
+    assert out == ""
+    assert err.startswith("step 1: tautology check gave up after scanning ")
 
 
 def test_frame(capsys):
@@ -180,3 +196,102 @@ def test_all_corpus_files_check_via_cli(capsys):
     for path in sorted((ROOT / "proofs").glob("*.prf")):
         code, out, _ = run(capsys, "check", str(path))
         assert (code, out) == (0, "ok\n"), path.name
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract
+
+_DEEP = ("~", "(", "Kw[i]", "[p]")
+
+
+def _random_text(draw, lang):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return render(random_formula(rng, draw(st.integers(0, 4)), props=("p", "q", "r"),
+                                 agents=("i", "j"), lang=lang))
+
+
+@st.composite
+def _formula_text(draw):
+    kind = draw(st.sampled_from(["random", "deep", "tokens"]))
+    if kind == "random":
+        return _random_text(draw, draw(st.sampled_from(Language)))
+    if kind == "deep":
+        # modal chains only past the parser's depth: shallower ones are slow to decide
+        opener = draw(st.sampled_from(_DEEP))
+        n = draw(st.integers(0, 40) if opener in "~(" else st.integers(2000, 4000))
+        return opener * n + "p" + (")" * n if opener == "(" else "")
+    return draw(st.text(st.sampled_from("pq~&|-><()[]!Kw topbt,;"), max_size=20))
+
+
+@st.composite
+def _step(draw, k):
+    """Step k: mostly well-formed PLKw steps, some of them tautologies."""
+    kind = draw(st.sampled_from(["random", "excluded middle", "hostile"]))
+    rule = draw(st.sampled_from(["taut", "pc 1", "pc", "pc 1,2", "pc 0", "pc 9", "pc -1",
+                                 "pc x", "mp 1 2", "axiom KwCon"]))
+    if kind == "random":
+        return f"{k}. {_random_text(draw, Language.PLKw)} ; {rule}"
+    if kind == "excluded middle":
+        f = _random_text(draw, Language.PLKw)
+        return f"{k}. ({f}) | ~({f}) ; {'taut' if k == 1 else f'pc {k - 1}'}"
+    return f"{k}. {draw(_formula_text())} ; {rule}"
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+                  st.text(max_size=4), st.lists(st.text(max_size=2), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.text(max_size=2), max_size=2))
+
+
+@st.composite
+def _model_text(draw):
+    doc = json.loads((ROOT / "fixtures" / "m1.json").read_text())
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+        if draw(st.booleans()):
+            doc[key] = draw(_JUNK)
+        else:
+            doc.pop(key, None)
+    text = json.dumps(doc)
+    cut = draw(st.integers(0, len(text)))
+    return text[:cut] if draw(st.integers(0, 4)) == 0 else text
+
+
+@st.composite
+def _proof_text(draw):
+    system = draw(st.sampled_from(["PLKw"] * 4 + sorted(SYSTEMS) + ["Bogus"]))
+    lines = [f"system {system}", ""]
+    lines += [draw(_step(k)) for k in range(1, draw(st.integers(0, 4)) + 1)]
+    return "\n".join(lines) + "\n"
+
+
+_BUDGET = st.one_of(st.integers(1, 10**30).map(str), st.integers(-10**30, 0).map(str),
+                    st.sampled_from(["", " 5", "1e9", "0x10", "inf", "nan", "10" * 20]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exit_codes_under_fuzzing(data, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    command = data.draw(st.sampled_from(["mc", "frame", "decide", "sat", "check", "reduce"]))
+    if command in ("mc", "frame"):
+        model = tmp / "model.json"
+        model.write_text(data.draw(_model_text()))
+        argv = [command, str(model)]
+        if command == "mc":
+            argv += [data.draw(st.sampled_from(["s", "t", "u"])), data.draw(_formula_text())]
+    elif command in ("decide", "sat"):
+        argv = [command, data.draw(_formula_text()),
+                "--class", data.draw(st.sampled_from(["K", "S5", "KD45", "Z9"])),
+                "--budget", data.draw(_BUDGET)]
+    elif command == "check":
+        proof = tmp / "steps.prf"
+        proof.write_text(data.draw(_proof_text()))
+        argv = [command, str(proof)]
+    else:
+        argv = [command, data.draw(_formula_text())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert "internal error" not in err.getvalue(), (argv, err.getvalue())

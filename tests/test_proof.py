@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ROOT, random_formula
-from kwl.formula import And, Iff, Implies, Kw, Language, Not, Or, Prop, disj, parse, render
+import kwl.proof
+from helpers import ROOT, abstraction_letters, pigeonhole, random_formula, reference_taut
+from kwl.formula import And, Iff, Implies, Language, Not, Or, Prop, disj, parse, render
 from kwl.proof import (
     AXIOMS,
     SYSTEMS,
     Derivation,
     DerivationError,
-    LetterCapExceeded,
     Step,
+    StepUndecided,
     check_derivation,
     format_derivation,
     gen_prop19,
@@ -117,13 +118,56 @@ def test_is_bool_taut_pins():
     assert is_bool_taut(parse("Kw[i](p & q) -> Kw[i](p & q)"))
 
 
-def test_is_bool_taut_letter_budget():
-    wide = disj([Kw("i", Prop(f"v{k}")) for k in range(21)])
-    with pytest.raises(ValueError):
-        is_bool_taut(wide)
-    letters = [Kw("i", Prop(f"v{k}")) for k in range(20)]
-    assert not is_bool_taut(disj(letters))
+def test_is_bool_taut_agrees_with_reference():
+    # modal and announcement letters, top/bot and all five connectives
+    rng = random.Random(47)
+    checked = tautologies = 0
+    while checked < 3000:
+        f = random_formula(rng, rng.randint(1, 6), props=("p", "q", "r"),
+                           agents=("i", "j"), lang=Language.PLKwAK)
+        if rng.random() < 0.5:
+            f = Implies(f, random_formula(rng, 3, props=("p", "q"), lang=Language.PLKwAK))
+        if len(abstraction_letters(f)) > 10:
+            continue
+        want = reference_taut(f)
+        assert is_bool_taut(f) == want, render(f)
+        assert is_bool_taut(Not(f)) == reference_taut(Not(f)), render(f)
+        checked += 1
+        tautologies += want
+    assert 100 < tautologies < 2900
+
+
+def test_is_bool_taut_agrees_on_derivations(monkeypatch):
+    # every taut/pc input met while checking the corpus and gen_prop19(1..5)
+    seen = []
+    monkeypatch.setattr(kwl.proof, "is_bool_taut", lambda f: seen.append(f) or True)
+    for path in sorted((ROOT / "proofs").glob("*.prf")):
+        check_derivation(load_derivation(path))
+    corpus = len(seen)
+    for k in range(1, 6):
+        check_derivation(gen_prop19(k))
+    # gen_prop19(k) has 7k - 4 taut and pc steps
+    assert (corpus, len(seen) - corpus) == (232, sum(7 * k - 4 for k in range(1, 6)))
+    for f in seen:
+        assert is_bool_taut(f) == reference_taut(f), render(f)
+        assert is_bool_taut(f)
+
+
+def test_is_bool_taut_many_letters():
+    letters = [Prop(f"v{k}") for k in range(2000)]
     assert is_bool_taut(Or(disj(letters), Not(letters[0])))
+    assert not is_bool_taut(disj(letters))
+
+
+def test_is_bool_taut_work_cap():
+    # the pigeonhole tautologies take DPLL exponentially long
+    assert is_bool_taut(pigeonhole(4))
+    d = Derivation("PLKw", (Step(1, pigeonhole(4), "taut"), Step(2, pigeonhole(7), "taut")))
+    with pytest.raises(StepUndecided) as exc:
+        check_derivation(d)
+    assert isinstance(exc.value, DerivationError)
+    assert exc.value.index == 2
+    assert str(exc.value).startswith("step 2: tautology check gave up after scanning ")
 
 
 def test_is_bool_taut_depth():
@@ -367,27 +411,17 @@ def test_corpus_matches_its_generator():
 
 
 def test_gen_prop19():
-    lengths = {}
-    for k in range(1, 5):
+    for k in range(1, 13):
         d = gen_prop19(k)
         assert d.system == "PLKw"
-        check_derivation(d)
-        lengths[k] = len(d.steps)
-    assert lengths == {1: 6, 2: 17, 3: 28, 4: 39}
-    # linear growth in k
-    assert lengths[3] - lengths[2] == lengths[2] - lengths[1] == 11
+        assert len(d.steps) == 11 * k - 5
+        assert check_derivation(d) == d.steps[-1].formula
     concl2 = check_derivation(gen_prop19(2))
     assert concl2 == parse(
         "Kw[i]x1 & Kw[i]x2 & Kw[i](~x1 & ~x2 -> z) & ~Kw[i]z"
         " & Kw[i](x1 -> y1) & Kw[i](x2 -> y2) -> Kw[i]y1 | Kw[i]y2")
     with pytest.raises(ValueError):
         gen_prop19(0)
-    # from k = 6 a pc step is too wide to tabulate: left unchecked, not refuted
-    with pytest.raises(LetterCapExceeded) as exc:
-        check_derivation(gen_prop19(6))
-    assert isinstance(exc.value, DerivationError)
-    assert exc.value.index == 61
-    assert str(exc.value) == "step 61: boolean abstraction needs 21 letters (limit 20)"
 
 
 def test_mutated_corpus_step_is_rejected():
