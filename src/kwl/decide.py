@@ -1,7 +1,7 @@
 """Frame-class-aware satisfiability and validity via a labelled tableau.
 
-Announcements are reduced away first.  One pass, _nnf, then takes the
-formula to negation normal form and removes Kw with it: Kw[i]g becomes
+Announcements are reduced away first.  One pass, _Tableau.nnf, then takes
+the formula to negation normal form and removes Kw with it: Kw[i]g becomes
 K[i]g | K[i]~g in general, and top over partial-functional frames, where it
 holds everywhere.  A tableau whose accessibility relations are kept closed
 under the frame conditions of the requested class searches for a model.  A
@@ -33,6 +33,7 @@ from .formula import (
     Top,
     agents_of,
     classify_language,
+    node_class,
     props_of,
 )
 from .semantics import (
@@ -46,7 +47,7 @@ from .translate import reduce
 
 
 class BudgetExceeded(Exception):
-    """The tableau ran out of node budget before reaching a verdict."""
+    """sat ran out of budget before reaching a verdict (see _Tableau)."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class Validity:
     branches: int
 
 
-@dataclass(frozen=True)
+@node_class
 class _Dia(Modal):
     """Internal NNF-only dual of K; never rendered."""
 
@@ -74,62 +75,26 @@ class _Dia(Modal):
 
 
 # ---------------------------------------------------------------------------
-# preprocessing
-
-
-def _nnf(f: Formula, neg: bool, pf: bool) -> Formula:
-    """Negation normal form of f, or of ~f when neg is set, with Kw expanded.
-
-    Kw[i]g becomes K[i]g | K[i]~g, and ~Kw[i]g becomes _Dia(i,~g) & _Dia(i,g);
-    over partial-functional frames (pf) Kw[i]g holds everywhere and becomes
-    top.  The output has negation on propositions only, and no ->, <->, Kw or
-    announcement.
-    """
-    t = type(f)
-    if t is Prop:
-        return Not(f) if neg else f
-    if t is Not:
-        return _nnf(f.sub, not neg, pf)
-    if t is And or t is Or:
-        op = (Or if t is And else And) if neg else t
-        return op(_nnf(f.left, neg, pf), _nnf(f.right, neg, pf))
-    if t is K or t is _Dia:
-        op = (_Dia if t is K else K) if neg else t
-        return op(f.agent, _nnf(f.sub, neg, pf))
-    if t is Top or t is Bot:
-        return (BOT if t is Top else TOP) if neg else f
-    if t is Implies:
-        a, b = _nnf(f.left, not neg, pf), _nnf(f.right, neg, pf)
-        return And(a, b) if neg else Or(a, b)
-    if t is Iff:
-        return Or(And(_nnf(f.left, False, pf), _nnf(f.right, neg, pf)),
-                  And(_nnf(f.left, True, pf), _nnf(f.right, not neg, pf)))
-    if t is Kw:
-        if pf:
-            return BOT if neg else TOP
-        pos, negd = _nnf(f.sub, False, pf), _nnf(f.sub, True, pf)
-        if neg:
-            return And(_Dia(f.agent, negd), _Dia(f.agent, pos))
-        return Or(K(f.agent, pos), K(f.agent, negd))
-    raise TypeError(f"not an announcement-free formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
 # relation closure
 
 
-def _close(worlds, pairs, props) -> set:
-    """Least superset of pairs closed under the Horn frame conditions in props."""
+# the Horn frame conditions, in the order of _close's flags
+_HORN = (FrameProperty.REFLEXIVE, FrameProperty.SYMMETRIC, FrameProperty.TRANSITIVE,
+         FrameProperty.EUCLIDEAN)
+
+
+def _close(worlds, pairs, reflexive, symmetric, transitive, euclidean) -> set:
+    """Least superset of pairs closed under the Horn frame conditions flagged."""
     closed = set(pairs)
-    if FrameProperty.REFLEXIVE in props:
+    if reflexive:
         closed |= {(w, w) for w in worlds}
     while True:
         new = set()
-        if FrameProperty.SYMMETRIC in props:
+        if symmetric:
             new |= {(t, s) for (s, t) in closed} - closed
-        if FrameProperty.TRANSITIVE in props:
+        if transitive:
             new |= {(s, u) for (s, t) in closed for (t2, u) in closed if t == t2} - closed
-        if FrameProperty.EUCLIDEAN in props:
+        if euclidean:
             new |= {(t, u) for (s, t) in closed for (s2, u) in closed if s == s2} - closed
         if not new:
             return closed
@@ -175,23 +140,76 @@ def _rep(br, w) -> int:
 
 
 class _Tableau:
+    """One call's search.  work is counted against the budget, preprocessing
+    included: one tick per new world, label entry, reduced node and NNF memo
+    entry."""
+
     def __init__(self, props, agents, budget, pf):
-        self.props = props
         self.agents = agents
         self.budget = budget
         self.pf = pf
+        # the frame conditions, worked out once: _close runs on every new edge
+        self.horn = tuple(p in props for p in _HORN)
+        self.serial = FrameProperty.SERIAL in props
         self.blocking = bool(props & {FrameProperty.TRANSITIVE, FrameProperty.EUCLIDEAN})
         self.prefixes = 0
         self.branches = 0
         self.work = 0
+        self.nnf_memo: dict = {}
 
     def _tick(self):
         self.work += 1
         if self.work > self.budget:
             raise BudgetExceeded(f"tableau budget of {self.budget} nodes exhausted")
 
+    def nnf(self, f: Formula, neg: bool) -> Formula:
+        """Negation normal form of f, or of ~f when neg is set, with Kw expanded.
+
+        Kw[i]g becomes K[i]g | K[i]~g, and ~Kw[i]g becomes _Dia(i,~g) & _Dia(i,g);
+        over partial-functional frames (pf) Kw[i]g holds everywhere and becomes
+        top.  The output has negation on propositions only, and no ->, <->, Kw or
+        announcement.  Memoised on (node, neg) for the call, so a subformula
+        that Kw or <-> copies is translated once per polarity, and _resolve_splits
+        finds a disjunct's complement here.
+        """
+        key = (f, neg)
+        out = self.nnf_memo.get(key)
+        if out is not None:
+            return out
+        nnf, t = self.nnf, type(f)
+        if t is Prop:
+            out = Not(f) if neg else f
+        elif t is Not:
+            out = nnf(f.sub, not neg)
+        elif t is And or t is Or:
+            op = (Or if t is And else And) if neg else t
+            out = op(nnf(f.left, neg), nnf(f.right, neg))
+        elif t is K or t is _Dia:
+            op = (_Dia if t is K else K) if neg else t
+            out = op(f.agent, nnf(f.sub, neg))
+        elif t is Top or t is Bot:
+            out = (BOT if t is Top else TOP) if neg else f
+        elif t is Implies:
+            a, b = nnf(f.left, not neg), nnf(f.right, neg)
+            out = And(a, b) if neg else Or(a, b)
+        elif t is Iff:
+            out = Or(And(nnf(f.left, False), nnf(f.right, neg)),
+                     And(nnf(f.left, True), nnf(f.right, not neg)))
+        elif t is Kw:
+            if self.pf:
+                out = BOT if neg else TOP
+            else:
+                pos, negd = nnf(f.sub, False), nnf(f.sub, True)
+                out = (And(_Dia(f.agent, negd), _Dia(f.agent, pos)) if neg
+                       else Or(K(f.agent, pos), K(f.agent, negd)))
+        else:
+            raise TypeError(f"not an announcement-free formula: {f!r}")
+        self.nnf_memo[key] = out
+        self._tick()
+        return out
+
     def _closed_rel(self, br, agent):
-        return _close(br.labels, br.base.get(agent, set()), self.props)
+        return _close(br.labels, br.base.get(agent, set()), *self.horn)
 
     def _new_world(self, br) -> int:
         w = len(br.labels)
@@ -273,7 +291,7 @@ class _Tableau:
             if not self.pf:
                 self._add_edge(br, agent, w, v)
             return True
-        if FrameProperty.SERIAL in self.props:
+        if self.serial:
             for w in br.labels:
                 for agent in self.agents:
                     if not br.boxes.get((w, agent)):
@@ -299,8 +317,8 @@ class _Tableau:
             labs = br.labels[w]
             if f.left in labs or f.right in labs:
                 continue
-            left_out = _nnf(f.left, True, False) in labs
-            right_out = _nnf(f.right, True, False) in labs
+            left_out = self.nnf(f.left, True) in labs
+            right_out = self.nnf(f.right, True) in labs
             if left_out and right_out:
                 return _CLOSED
             if left_out:
@@ -351,8 +369,8 @@ class _Tableau:
         rel = {}
         for agent in self.agents:
             pairs = {(rep[x], rep[y]) for (x, y) in br.base.get(agent, set())}
-            closed = _close(keep, pairs, self.props)
-            if FrameProperty.SERIAL in self.props:
+            closed = _close(keep, pairs, *self.horn)
+            if self.serial:
                 for w in keep:
                     if not any(x == w for (x, _) in closed):
                         closed.add((w, w))
@@ -377,13 +395,12 @@ def sat(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> Decision
     lang = classify_language(f)
     if lang == Language.PLKwAK:
         raise ValueError("announcements together with K are not supported")
-    g = reduce(f) if lang == Language.PLKwA else f
     requirements = frame_class.requirements
     pf = FrameProperty.PARTIAL_FUNCTIONAL in requirements
-    root = _nnf(g, False, pf)
     agents = sorted(agents_of(f))
     tab = _Tableau(requirements - {FrameProperty.PARTIAL_FUNCTIONAL}, agents, budget, pf)
-    open_branch = tab.solve(root)
+    g = reduce(f, tick=tab._tick) if lang == Language.PLKwA else f
+    open_branch = tab.solve(tab.nnf(g, False))
     if open_branch is None:
         return DecisionResult(False, None, tab.prefixes, tab.branches)
     model = tab.extract(open_branch, f, requirements)

@@ -14,17 +14,72 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence
+from weakref import ref
+
+# The intern table: (class, *fields) -> a weak reference to the one node with
+# those fields.  The fields of a key are interned already, so the key hashes
+# in C without walking the subtree.  The table pins nothing: a node's entry
+# goes when the node dies.
+_NODES: dict = {}
+
+
+class _KeyedRef(ref):
+    """A weak reference that knows its table key.  weakref.KeyedRef is the
+    same with a constructor written in Python, which costs a new node as
+    much as building the rest of it."""
+
+    __slots__ = ("key",)
+
+
+_new, _set = object.__new__, object.__setattr__  # past the read-only guard
+
+
+def _forget(dead: _KeyedRef, _nodes=_NODES):
+    # the table is bound as a default: at interpreter exit the module's globals
+    # may be gone before the last nodes die.  A node built after this one died
+    # may own the entry by now.
+    if _nodes.get(dead.key) is dead:
+        del _nodes[dead.key]
 
 
 class Formula:
-    """Base class; all nodes are frozen dataclasses with structural equality.
+    """Base class; all nodes are interned, read-only dataclasses.
+
+    Building a node whose class and fields equal those of a live node returns
+    that node, so equal formulas are the same object, and == and hash are
+    those of object: identity, in constant time at any depth.  A node's
+    fields are its dataclass fields, in order (__match_args__).
 
     children() lists a node's immediate subformulas, left to right, and
     map(fn) returns the same node with fn applied to each of them.  Leaves
     have no children and map to themselves.
     """
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields, **named):
+        if named:
+            fields = _positional(cls, fields, named)
+        key = (cls, *fields)
+        entry = _NODES.get(key)
+        node = entry() if entry is not None else None
+        if node is None:
+            names = cls.__match_args__
+            if len(fields) != len(names):
+                raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}")
+            node = _new(cls)
+            # a node has at most two fields; unrolled, this costs half a loop's time
+            if names:
+                _set(node, names[0], fields[0])
+                if len(names) == 2:
+                    _set(node, names[1], fields[1])
+            entry = _NODES[key] = _KeyedRef(node, _forget)
+            entry.key = key
+        return node
+
+    def __reduce__(self):
+        # rebuilt through __new__, so copy, deepcopy and pickle give back the interned node
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def children(self) -> tuple:
         return ()
@@ -60,22 +115,37 @@ class Binary(Formula):
         return type(self)(fn(self.left), fn(self.right))
 
 
-@dataclass(frozen=True)
+def _positional(cls, fields: tuple, named: dict) -> tuple:
+    """The fields of a call that names some of them, in declaration order."""
+    rest = cls.__match_args__[len(fields):]
+    unknown = set(named) - set(rest)
+    if unknown:
+        raise TypeError(f"{cls.__name__} got unexpected fields {', '.join(sorted(unknown))}")
+    return fields + tuple(named[name] for name in rest if name in named)
+
+
+# The dataclass options of a node class: read-only fields in slots, the
+# identity == and hash of object, and no __init__, since Formula.__new__ sets
+# the fields once, when it builds the node.
+node_class = dataclass(frozen=True, eq=False, init=False, slots=True)
+
+
+@node_class
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@node_class
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@node_class
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@node_class
 class Not(Formula):
     sub: Formula
 
@@ -86,43 +156,43 @@ class Not(Formula):
         return Not(fn(self.sub))
 
 
-@dataclass(frozen=True)
+@node_class
 class And(Binary):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node_class
 class Or(Binary):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node_class
 class Implies(Binary):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node_class
 class Iff(Binary):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@node_class
 class Kw(Modal):
     agent: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@node_class
 class K(Modal):
     agent: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@node_class
 class Announce(Formula):
     announced: Formula
     body: Formula
@@ -251,19 +321,30 @@ def substitute(f: Formula, prop: str, replacement: Formula) -> Formula:
 # the strict decrease on every rewrite it performs.
 
 
-def complexity(f: Formula) -> int:
+def complexity(f: Formula, memo: Optional[dict] = None) -> int:
+    """The weight of f.  memo, when given, maps nodes to their weights and is
+    kept across calls; each node is weighed once either way, so shared
+    subformulas cost nothing more."""
     kind = type(f)
-    if kind is Announce:
-        return (4 + complexity(f.announced)) * complexity(f.body)
     if kind is Top or kind is Bot or kind is Prop:
         return 1  # no children() call, which would cost a leaf one more frame
-    # a plain loop: a generator or map() inside max() costs a stack frame per level
-    deepest = 0
-    for g in f.children():
-        c = complexity(g)
-        if c > deepest:
-            deepest = c
-    return (2 if isinstance(f, Modal) else 1) + deepest
+    if memo is None:
+        memo = {}
+    weight = memo.get(f)
+    if weight is not None:
+        return weight
+    if kind is Announce:
+        weight = (4 + complexity(f.announced, memo)) * complexity(f.body, memo)
+    else:
+        # a plain loop: a generator or map() inside max() costs a stack frame per level
+        deepest = 0
+        for g in f.children():
+            c = complexity(g, memo)
+            if c > deepest:
+                deepest = c
+        weight = (2 if isinstance(f, Modal) else 1) + deepest
+    memo[f] = weight
+    return weight
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ weighted complexity of the redex strictly drops.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .formula import (
     TOP,
     And,
@@ -61,18 +63,45 @@ def el_to_kw(f: Formula) -> Formula:
 # announcement elimination
 
 
-def reduce(f: Formula) -> Formula:
-    """Announcement-free equivalent of f; rejects formulas mentioning K."""
+def reduce(f: Formula, *, tick: Callable[[], None] = lambda: None) -> Formula:
+    """Announcement-free equivalent of f; rejects formulas mentioning K.
+
+    The rewrites copy their subformulas, so the output can be exponentially
+    larger than f as a tree, but not as a DAG: each node is reduced and
+    weighed once per call, and the nodes are shared.  tick is called once
+    for each compound node reduced; sat passes its budget's counter."""
     if not in_language(f, Language.PLKwA):
         raise ValueError(f"reduce handles the Kw language with announcements, got: {f}")
-    return _reduce(f)
+    return _Reduction(tick).walk(f)
 
 
-def _reduce(f: Formula) -> Formula:
-    if isinstance(f, Announce):
-        # innermost-first on the announced part, then peel the redex
-        return _eliminate(_reduce(f.announced), f.body)
-    return f.map(_reduce)
+class _Reduction:
+    """The memos of one call of reduce, keyed on the interned node."""
+
+    def __init__(self, tick):
+        self.memo: dict = {}
+        self.weights: dict = {}
+        self.tick = tick
+
+    def walk(self, f: Formula) -> Formula:
+        out = self.memo.get(f)
+        if out is not None:
+            return out
+        kind = type(f)
+        if kind is Announce:
+            # innermost-first on the announced part, then peel the redex
+            redex = Announce(self.walk(f.announced), f.body)
+            rewritten = _step(redex.announced, redex.body)
+            assert (complexity(rewritten, self.weights)
+                    < complexity(redex, self.weights)), f"rewrite did not shrink: {redex}"
+            out = self.walk(rewritten)
+        elif kind is Prop or kind is Top or kind is Bot:
+            return f  # builds nothing
+        else:
+            out = f.map(self.walk)
+        self.memo[f] = out
+        self.tick()
+        return out
 
 
 def _step(announced: Formula, body: Formula) -> Formula:
@@ -96,10 +125,3 @@ def _step(announced: Formula, body: Formula) -> Formula:
         case Announce(inner, sub):
             return Announce(And(announced, Announce(announced, inner)), sub)
     raise TypeError(f"not a formula: {body!r}")
-
-
-def _eliminate(announced: Formula, body: Formula) -> Formula:
-    redex = Announce(announced, body)
-    out = _step(announced, body)
-    assert complexity(out) < complexity(redex), f"rewrite did not shrink: {redex}"
-    return _reduce(out)

@@ -149,6 +149,15 @@ def test_check(capsys, tmp_path):
     assert code == 2
 
 
+def test_deep_letters_check_via_cli(capsys, tmp_path):
+    # the abstraction's letters are hashed and compared: in constant depth,
+    # whatever their own depth
+    deep = "Kw[i]" + "~" * 600 + "p"
+    proof = tmp_path / "deep.prf"
+    proof.write_text(f"system PLKw\n\n1. {deep} | ~{deep} ; taut\n")
+    assert run(capsys, "check", str(proof)) == (0, "ok\n", "")
+
+
 def test_gen_prop19_6_checks_via_cli(capsys, tmp_path):
     # the Boolean abstraction of step 61 has 21 letters
     path = tmp_path / "prop19_6.prf"

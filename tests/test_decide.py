@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from helpers import ROOT, enumerate_class_models, random_formula, random_model
-from kwl.decide import BudgetExceeded, DecisionResult, Validity, _Dia, _nnf, sat, valid
+from kwl import formula
+from kwl.decide import BudgetExceeded, DecisionResult, Validity, _Dia, _Tableau, sat, valid
 from kwl.formula import (
     Announce,
     Iff,
@@ -125,6 +126,43 @@ def test_budget_exhaustion_raises():
         valid(parse("Kw[i]p -> Kw[i]Kw[i]p"), FrameClass.K4, budget=5)
 
 
+_SIX_ANNOUNCEMENTS = "[Kw[i]p5][Kw[i]p4][Kw[i]p3][Kw[i]p2][Kw[i]p1][Kw[i]p0]Kw[i]q"
+
+
+@pytest.fixture
+def nodes_built(monkeypatch):
+    """A list whose length is the number of formula nodes built since."""
+    built = []
+
+    def counting(cls):
+        built.append(None)
+        return object.__new__(cls)
+
+    monkeypatch.setattr(formula, "_new", counting)
+    return built
+
+
+def test_budget_bounds_preprocessing(nodes_built):
+    # as trees, the reduction of the six announcements has 59,374 nodes and
+    # the NNF of Kw[i]^18 p 1,179,645; each tick of the budget builds a few nodes
+    for f in (parse(_SIX_ANNOUNCEMENTS), _kw_chain(18)):
+        for budget in (1, 10, 100):
+            nodes_built.clear()
+            with pytest.raises(BudgetExceeded):
+                sat(f, FrameClass.K, budget=budget)
+            assert len(nodes_built) <= 2 * budget + 20, (render(f), budget)
+
+
+def test_preprocessing_shares_copied_subformulas(nodes_built):
+    # as a tree, the NNF of Kw[i]^40 p has about 5 * 10^12 nodes; shared, a few per Kw
+    r = valid(_kw_chain(40), FrameClass.K, budget=2000)
+    assert (r.valid, r.prefixes, r.branches) == (False, 81, 1)
+    assert len(nodes_built) < 400
+    nodes_built.clear()
+    assert sat(parse(_SIX_ANNOUNCEMENTS), FrameClass.K, budget=1000).satisfiable
+    assert len(nodes_built) < 400
+
+
 def test_announcements_with_k_rejected():
     with pytest.raises(ValueError):
         sat(parse("[p]K[i]q"), FrameClass.K)
@@ -198,6 +236,27 @@ def test_tableau_is_independent_of_the_hash_seed(tmp_path):
     assert len(counts) == 1
 
 
+def test_tableau_is_independent_of_memory_addresses(tmp_path):
+    # interned nodes hash by address; a process that first builds 10,000
+    # other formulas lays the same ones out elsewhere
+    text = "Kw[i](p | q) & Kw[j]r -> Kw[i]Kw[j](p & r) | Kw[j]Kw[i]q"
+    churn = ("from kwl.formula import Kw, Not, Prop;"
+             "keep = [Kw('j', Not(Prop(f'x{n}'))) for n in range(10000)];")
+    written = []
+    for n, prelude in enumerate(("", churn)):
+        out = tmp_path / f"cm{n}.json"
+        code = (f"{prelude}import sys; from kwl.cli import main;"
+                f"sys.exit(main(['decide', '--class', 'K', {text!r}, "
+                f"'--countermodel', {str(out)!r}]))")
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (1, "invalid\n")
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.xfail(strict=True, raises=RuntimeError,
                    reason="S5 tableau with two agents: the extracted model fails the re-check")
 def test_s5_two_agent_kw_chain():
@@ -213,6 +272,11 @@ def nnf_inputs():
     forms += [random_formula(rng, 4, agents=("i", "j"), lang=Language.PLKwK)
               for _ in range(400)]
     return forms
+
+
+def _nnf(f, neg, pf):
+    """The negation normal form that one call of sat would build."""
+    return _Tableau(frozenset(), [], 10**6, pf).nnf(f, neg)
 
 
 def _undia(f):

@@ -1,6 +1,9 @@
 """Formula AST, parser, printer, enumerator."""
 
+import copy
 import dataclasses
+import gc
+import pickle
 import random
 
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import count_formulas, node_count, random_formula
-from kwl.decide import _Dia
+from kwl import formula
+from kwl.decide import _Dia, valid
 from kwl.formula import (
     BOT,
     TOP,
@@ -37,6 +41,7 @@ from kwl.formula import (
     subformulas,
     substitute,
 )
+from kwl.semantics import FrameClass
 
 P, Q, R = Prop("p"), Prop("q"), Prop("r")
 
@@ -222,6 +227,63 @@ def test_deep_formulas_are_walked_without_recursion():
     assert agents_of(f) == {"i"}
     assert in_language(f, Language.PLKw)
     assert classify_language(f) == Language.PLKw
+
+
+def test_equal_formulas_are_one_node():
+    assert Prop("p") is P
+    assert Prop(name="p") is P
+    assert Kw(agent="i", sub=P) is Kw("i", sub=P) is Kw("i", P)
+    assert dataclasses.replace(Kw("i", P), sub=Q) is Kw("i", Q)
+    assert dataclasses.replace(Announce(P, Q), body=R) is Announce(P, R)
+    assert parse("Kw[i](p & q)") is Kw("i", And(P, Q))
+    # the class is part of a node's identity
+    assert _Dia("i", P) is not K("i", P)
+    assert And(P, Q) is not Or(P, Q)
+    with pytest.raises(TypeError):
+        Prop()
+    with pytest.raises(TypeError):
+        Kw("i", P, Q)
+    with pytest.raises(TypeError):
+        Kw("i", body=P)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.name = "q"
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    for f in (TOP, P, parse("Kw[i](p -> [q]~r) <-> K[j]bot"), _Dia("i", Not(P))):
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+    # unpickled after the node died: built afresh, then shared as usual
+    text = pickle.dumps(Kw("i", Prop("unpickled")))
+    assert pickle.loads(text) is Kw("i", Prop("unpickled"))
+
+
+def test_deep_formulas_compare_and_hash_in_constant_depth():
+    def chain():
+        f = Kw("i", P)
+        for _ in range(5000):
+            f = Not(f)
+        return f
+
+    a, b = chain(), chain()
+    assert a is b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+def test_the_intern_table_pins_nothing():
+    gc.collect()
+    before = len(formula._NODES)
+    f = Prop("unpinned")  # a letter no other test keeps alive
+    for _ in range(10):
+        f = Kw("i", f)
+    assert not valid(f, FrameClass.K).valid
+    assert len(formula._NODES) > before
+    del f
+    gc.collect()
+    assert len(formula._NODES) == before
 
 
 def test_parser_and_complexity_depth():
