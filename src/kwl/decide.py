@@ -7,6 +7,21 @@ holds everywhere.  A tableau whose accessibility relations are kept closed
 under the frame conditions of the requested class searches for a model.  A
 satisfiable verdict carries a pointed model that has been re-checked against
 the original formula with the model checker; nothing is returned on faith.
+
+The search backjumps (dependency-directed backtracking).  Every label entry
+carries a mask, an int whose bit n is set when the entry depends on the
+disjunct chosen at the n-th split above it: a conjunct inherits its
+conjunction's mask, a diamond's body the diamond's, a box's body the box's
+together with the edge it fires over, and a disjunct that unit propagation
+forces the disjunction's together with the refuted complement's.  A clash
+returns the union of its two entries' masks.  When a child of the n-th split
+closes by a clash whose mask lacks bit n, the choice made there played no
+part in it, and the whole split closes on the same entries: the right child
+is not tried, and the mask goes up to the nearest split that the clash does
+depend on.  Only subtrees in which every branch closes are skipped, so the first
+open branch, and with it the model, is the one the exhaustive search
+reaches.  The right child gets no complement of the left disjunct (no
+semantic branching): that would change the open branch, and so the model.
 """
 
 from __future__ import annotations
@@ -106,15 +121,19 @@ def _close(worlds, pairs, reflexive, symmetric, transitive, euclidean) -> set:
 
 
 class _Branch:
-    # labels and boxes are dicts used as insertion-ordered sets (every value
-    # None), so that diamonds fire and boxes re-fire in the order the formulas
-    # arrived, whatever the string-hash seed.  The worlds are the keys of
-    # labels, numbered 0, 1, ... in creation order; world 0 is the root.
-    __slots__ = ("labels", "base", "boxes", "fired", "det", "splits")
+    # labels, boxes and base map each formula, box body or edge to its mask
+    # (see the module docstring).  They are insertion-ordered, so that
+    # diamonds fire and boxes re-fire in the order the formulas arrived,
+    # whatever the string-hash seed.  The worlds are the keys of labels,
+    # numbered 0, 1, ... in creation order; world 0 is the root.  derived
+    # holds per agent the union of its base edges' masks: the mask of a pair
+    # that only the frame conditions put in the closed relation.
+    __slots__ = ("labels", "base", "derived", "boxes", "fired", "det", "splits")
 
     def __init__(self):
         self.labels: dict[int, dict] = {}
-        self.base: dict[str, set] = {}
+        self.base: dict[str, dict] = {}
+        self.derived: dict[str, int] = {}
         self.boxes: dict[tuple, dict] = {}
         self.fired: set = set()
         self.det: deque = deque()
@@ -123,20 +142,23 @@ class _Branch:
     def copy(self) -> "_Branch":
         br = _Branch.__new__(_Branch)
         br.labels = {w: dict(s) for w, s in self.labels.items()}
-        br.base = {a: set(p) for a, p in self.base.items()}
+        br.base = {a: dict(p) for a, p in self.base.items()}
+        br.derived = dict(self.derived)
         br.boxes = {k: dict(s) for k, s in self.boxes.items()}
         br.fired = set(self.fired)
         br.det = deque(self.det)
         br.splits = list(self.splits)
         return br
 
-
-_CLOSED = "closed"
+    def edge_mask(self, agent, pair) -> int:
+        mask = self.base.get(agent, {}).get(pair)
+        return self.derived.get(agent, 0) if mask is None else mask
 
 
 def _rep(br, w) -> int:
-    """The first world whose label equals w's: w itself unless w is blocked."""
-    return next(u for u in br.labels if br.labels[u] == br.labels[w])
+    """The first world whose label has w's formulas: w itself unless w is blocked."""
+    own = br.labels[w].keys()
+    return next(u for u in br.labels if br.labels[u].keys() == own)
 
 
 class _Tableau:
@@ -209,7 +231,7 @@ class _Tableau:
         return out
 
     def _closed_rel(self, br, agent):
-        return _close(br.labels, br.base.get(agent, set()), *self.horn)
+        return _close(br.labels, br.base.get(agent, ()), *self.horn)
 
     def _new_world(self, br) -> int:
         w = len(br.labels)
@@ -218,45 +240,51 @@ class _Tableau:
         self._tick()
         return w
 
-    def _add(self, br, w, f):
+    def _add(self, br, w, f, mask):
         if f in br.labels[w]:
             return
         self._tick()
-        br.labels[w][f] = None
+        br.labels[w][f] = mask
         br.det.append((w, f))
 
-    def _add_edge(self, br, agent, u, v):
-        br.base.setdefault(agent, set()).add((u, v))
+    def _add_edge(self, br, agent, u, v, mask):
+        br.base.setdefault(agent, {})[(u, v)] = mask
+        br.derived[agent] = br.derived.get(agent, 0) | mask
         # boxes re-fire over the whole closed relation; _add deduplicates
         closed = self._closed_rel(br, agent)
         for (x, y) in closed:
-            for body in br.boxes.get((x, agent), ()):
-                self._add(br, y, body)
+            for body, mask in br.boxes.get((x, agent), {}).items():
+                self._add(br, y, body, mask | br.edge_mask(agent, (x, y)))
 
-    def _saturate(self, br) -> Optional[str]:
+    def _saturate(self, br) -> Optional[int]:
+        """Apply the deterministic rules; the mask of a clash, or None."""
         while br.det:
             w, f = br.det.popleft()
+            labs = br.labels[w]
+            mask = labs[f]
             match f:
                 case Bot():
-                    return _CLOSED
+                    return mask
                 case Top():
                     pass
                 case Prop(_):
-                    if Not(f) in br.labels[w]:
-                        return _CLOSED
+                    other = labs.get(Not(f))
+                    if other is not None:
+                        return mask | other
                 case Not(sub):
-                    if sub in br.labels[w]:
-                        return _CLOSED
+                    other = labs.get(sub)
+                    if other is not None:
+                        return mask | other
                 case And(a, b):
-                    self._add(br, w, a)
-                    self._add(br, w, b)
+                    self._add(br, w, a, mask)
+                    self._add(br, w, b, mask)
                 case Or(_, _):
                     br.splits.append((w, f))
                 case K(agent, body):
-                    br.boxes.setdefault((w, agent), {})[body] = None
+                    br.boxes.setdefault((w, agent), {})[body] = mask
                     for (x, y) in self._closed_rel(br, agent):
                         if x == w:
-                            self._add(br, y, body)
+                            self._add(br, y, body, mask | br.edge_mask(agent, (x, y)))
                 case _Dia(_, _):
                     pass
         return None
@@ -278,18 +306,18 @@ class _Tableau:
                 # agent's diamonds fire into it, after its boxes
                 agent = min(f.agent for f in dias)
                 fire = [f for f in dias if f.agent == agent]
-                succ = [y for (x, y) in br.base.get(agent, set()) if x == w]
+                succ = [y for (x, y) in br.base.get(agent, ()) if x == w]
                 v = succ[0] if succ else self._new_world(br)
                 if not succ:
-                    self._add_edge(br, agent, w, v)
+                    self._add_edge(br, agent, w, v, br.labels[w][fire[0]])
             else:
                 agent, fire = dias[0].agent, dias[:1]
                 v = self._new_world(br)
             for f in fire:
                 br.fired.add((w, f))
-                self._add(br, v, f.sub)
+                self._add(br, v, f.sub, br.labels[w][f])
             if not self.pf:
-                self._add_edge(br, agent, w, v)
+                self._add_edge(br, agent, w, v, br.labels[w][fire[0]])
             return True
         if self.serial:
             for w in br.labels:
@@ -299,67 +327,70 @@ class _Tableau:
                     if any(x == w for (x, _) in self._closed_rel(br, agent)):
                         continue
                     v = self._new_world(br)
-                    self._add_edge(br, agent, w, v)
+                    self._add_edge(br, agent, w, v, 0)
                     return True
         return False
 
-    def _resolve_splits(self, br):
+    def _resolve_splits(self, br) -> Optional[int]:
         """Discharge pending disjunctions that need no branching.
 
         A split whose disjunct is already on the label is satisfied and
         dropped; one refuted disjunct forces the other (unit propagation);
-        two refuted disjuncts close the branch.  Returns _CLOSED, True when
-        something was propagated, or False when only genuine splits remain.
+        two refuted disjuncts close the branch.  Returns the mask of that
+        clash, or None; what is propagated waits in br.det.
         """
         pending = []
-        progress = False
         for w, f in br.splits:
             labs = br.labels[w]
             if f.left in labs or f.right in labs:
                 continue
-            left_out = self.nnf(f.left, True) in labs
-            right_out = self.nnf(f.right, True) in labs
-            if left_out and right_out:
-                return _CLOSED
-            if left_out:
-                self._add(br, w, f.right)
-                progress = True
-            elif right_out:
-                self._add(br, w, f.left)
-                progress = True
+            left_out = labs.get(self.nnf(f.left, True))
+            right_out = labs.get(self.nnf(f.right, True))
+            if left_out is not None and right_out is not None:
+                return labs[f] | left_out | right_out
+            if left_out is not None:
+                self._add(br, w, f.right, labs[f] | left_out)
+            elif right_out is not None:
+                self._add(br, w, f.left, labs[f] | right_out)
             else:
                 pending.append((w, f))
         br.splits = pending
-        return progress
+        return None
 
-    def search(self, br) -> Optional[_Branch]:
+    def search(self, br, level: int = 0) -> _Branch | int:
+        """The first open branch below br, or the mask of the splits above
+        level that its clashes depend on."""
         while True:
-            if self._saturate(br) == _CLOSED:
+            clash = self._saturate(br)
+            if clash is None:
+                clash = self._resolve_splits(br)
+            if clash is not None:
                 self.branches += 1
-                return None
-            resolved = self._resolve_splits(br)
-            if resolved == _CLOSED:
-                self.branches += 1
-                return None
-            if resolved:
+                return clash
+            if br.det:
                 continue
             if br.splits:
                 w, f = br.splits.pop()
+                bit = 1 << level
+                mask = br.labels[w][f] | bit
+                clashes = 0
                 for piece in (f.left, f.right):
                     child = br.copy()
-                    self._add(child, w, piece)
-                    found = self.search(child)
-                    if found is not None:
+                    self._add(child, w, piece, mask)
+                    found = self.search(child, level + 1)
+                    # an open branch, or a clash that this split's choice did not cause
+                    if not isinstance(found, int) or not found & bit:
                         return found
-                return None
+                    clashes |= found
+                return clashes & ~bit
             if not self._fire_one(br):
                 self.branches += 1
                 return br
 
-    def solve(self, root: Formula) -> Optional[_Branch]:
+    def solve(self, root: Formula) -> _Branch | int:
         br = _Branch()
         w0 = self._new_world(br)
-        self._add(br, w0, root)
+        self._add(br, w0, root, 0)
         return self.search(br)
 
     def extract(self, br, original: Formula, requirements) -> KripkeModel:
@@ -368,7 +399,7 @@ class _Tableau:
         name = {w: f"w{idx}" for idx, w in enumerate(keep)}
         rel = {}
         for agent in self.agents:
-            pairs = {(rep[x], rep[y]) for (x, y) in br.base.get(agent, set())}
+            pairs = {(rep[x], rep[y]) for (x, y) in br.base.get(agent, ())}
             closed = _close(keep, pairs, *self.horn)
             if self.serial:
                 for w in keep:
@@ -401,7 +432,7 @@ def sat(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> Decision
     tab = _Tableau(requirements - {FrameProperty.PARTIAL_FUNCTIONAL}, agents, budget, pf)
     g = reduce(f, tick=tab._tick) if lang == Language.PLKwA else f
     open_branch = tab.solve(tab.nnf(g, False))
-    if open_branch is None:
+    if isinstance(open_branch, int):
         return DecisionResult(False, None, tab.prefixes, tab.branches)
     model = tab.extract(open_branch, f, requirements)
     return DecisionResult(True, model, tab.prefixes, tab.branches)

@@ -29,24 +29,31 @@ from .formula import (
     Top,
     complexity,
     in_language,
-    subformulas,
 )
 
 
 def kw_to_el(f: Formula) -> Formula:
-    """Kw[i]g becomes K[i]g' | K[i]~g'; Boolean structure is untouched."""
-    for g in subformulas(f):
+    """Kw[i]g becomes K[i]g' | K[i]~g'; Boolean structure is untouched.
+
+    Memoised on the node for the call, as reduce is, so a subformula that
+    reduce shares is checked and expanded once and its expansion shared."""
+    memo: dict = {}
+
+    def expand(g: Formula) -> Formula:
+        out = memo.get(g)
+        if out is not None:
+            return out
         if isinstance(g, (K, Announce)):
             raise ValueError(f"kw_to_el is defined on the Kw language, got: {g}")
-    return expand_kw(f)
+        if isinstance(g, Kw):
+            inner = expand(g.sub)
+            out = Or(K(g.agent, inner), K(g.agent, Not(inner)))
+        else:
+            out = g.map(expand)
+        memo[g] = out
+        return out
 
-
-def expand_kw(f: Formula) -> Formula:
-    """kw_to_el without its language check: K is kept as it is (announcement-free input)."""
-    if isinstance(f, Kw):
-        inner = expand_kw(f.sub)
-        return Or(K(f.agent, inner), K(f.agent, Not(inner)))
-    return f.map(expand_kw)
+    return expand(f)
 
 
 def el_to_kw(f: Formula) -> Formula:

@@ -5,11 +5,11 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
 from helpers import ROOT, enumerate_class_models, random_formula, random_model
-from kwl import formula
 from kwl.decide import BudgetExceeded, DecisionResult, Validity, _Dia, _Tableau, sat, valid
 from kwl.formula import (
     Announce,
@@ -129,19 +129,6 @@ def test_budget_exhaustion_raises():
 _SIX_ANNOUNCEMENTS = "[Kw[i]p5][Kw[i]p4][Kw[i]p3][Kw[i]p2][Kw[i]p1][Kw[i]p0]Kw[i]q"
 
 
-@pytest.fixture
-def nodes_built(monkeypatch):
-    """A list whose length is the number of formula nodes built since."""
-    built = []
-
-    def counting(cls):
-        built.append(None)
-        return object.__new__(cls)
-
-    monkeypatch.setattr(formula, "_new", counting)
-    return built
-
-
 def test_budget_bounds_preprocessing(nodes_built):
     # as trees, the reduction of the six announcements has 59,374 nodes and
     # the NNF of Kw[i]^18 p 1,179,645; each tick of the budget builds a few nodes
@@ -257,11 +244,63 @@ def test_tableau_is_independent_of_memory_addresses(tmp_path):
     assert written[0] == written[1]
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="S5 tableau with two agents: the extracted model fails the re-check")
 def test_s5_two_agent_kw_chain():
     # valid over S5: Kw[j]Kw[j]p is, and necessitation gives the rest
     assert valid(parse("Kw[j]Kw[i]Kw[j]Kw[j]p"), FrameClass.S5).valid
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="S5 tableau with two agents: the extracted model fails the re-check")
+def test_s5_two_agent_kw_chain_of_five():
+    # valid over S5: Kw[i]Kw[i]Kw[j]p is, and necessitation gives the rest
+    assert valid(parse("Kw[i]Kw[j]Kw[i]Kw[i]Kw[j]p"), FrameClass.S5).valid
+
+
+# the S5-unsatisfiable chains whose open branch fails the re-check in extract
+_S5_RECHECK_FAILURES = {f"~Kw[{a}]Kw[{b}]Kw[{a}]Kw[{a}]Kw[{b}]{inner}"
+                        for a, b in ("ij", "ji") for inner in ("p", "(p | q)", "(p & ~q)")}
+
+
+def test_two_agent_kw_chain_sweep():
+    # every chain of length 1 to 5 over three inner formulas, and its
+    # negation, over every class: 3,720 calls, none of which may run out of budget
+    failures = set()
+    for inner in ("p", "p | q", "p & ~q"):
+        for length in range(1, 6):
+            for agents in product("ij", repeat=length):
+                f = parse("".join(f"Kw[{a}]" for a in agents) + f"({inner})")
+                for g in (f, Not(f)):
+                    for fc in FrameClass:
+                        try:
+                            sat(g, fc, budget=50_000)
+                        except RuntimeError:
+                            failures.add((fc, render(g)))
+    assert failures == {(FrameClass.S5, text) for text in _S5_RECHECK_FAILURES}
+
+
+def test_backjumping_skips_splits_a_clash_does_not_use():
+    # chronological backtracking closes all 4,096 combinations of the disjuncts
+    f = parse(" & ".join(f"(a{n} | b{n})" for n in range(12)) + " & K[i]p & ~K[i]p")
+    for fc in FrameClass:
+        r = sat(f, fc)
+        assert (r.satisfiable, r.prefixes, r.branches) == (False, 2, 1), fc
+
+
+def test_a_clash_beyond_an_edge_depends_on_the_split_that_made_it():
+    # the left disjunct's successor holds r and ~r; the right disjunct t is open
+    f = parse("(~K[i]s | t) & K[i]r & K[i]~r")
+    serial = {FrameClass.D, FrameClass.T, FrameClass.S4, FrameClass.S5}
+    for fc in FrameClass:
+        r = sat(f, fc)
+        assert r.satisfiable == (fc not in serial), fc
+
+
+def test_small_dag_is_refuted_within_a_small_budget():
+    # chronological backtracking exhausted a budget of 10^6 here after 5.4 s
+    f = parse("~[[[q]q & (r & q) -> [p | p](p -> r)]Kw[i](~q -> r & r)][p]Kw[i](q -> Kw[j]p)")
+    for fc in (FrameClass.K, FrameClass.T, FrameClass.S5):
+        r = sat(f, fc, budget=10_000)
+        assert not r.satisfiable and r.branches <= 20, (fc, r.branches)
 
 
 @pytest.fixture(scope="module")
@@ -338,8 +377,10 @@ _TWO_AGENTS = parse("~K[j](r & ~p) & K[i](~p | r) & ~K[j](~r & ~s) & ~K[i](~p & 
 # sat's model or valid's countermodel.  The figures pin the tableau's search
 # order: the order in which rules fire and bodies reach labels.
 WORK_PINS = [
-    pytest.param(valid, _PROP19_3, FrameClass.K, 312, 219, None, id="prop19-3-K"),
-    pytest.param(valid, _PROP19_3, FrameClass.T, 408, 276, None, id="prop19-3-T"),
+    pytest.param(valid, _PROP19_3, FrameClass.K, 53, 22, None, id="prop19-3-K"),
+    pytest.param(valid, _PROP19_3, FrameClass.T, 53, 23, None, id="prop19-3-T"),
+    pytest.param(valid, _PROP19_3, FrameClass.S5, 53, 23, None, id="prop19-3-S5"),
+    pytest.param(valid, _kw_chain(8), FrameClass.S5, 8, 2, None, id="kw-chain-8-S5"),
     pytest.param(
         valid, _kw_chain(10), FrameClass.K, 21, 1,
         '{"worlds":["w0","w1","w2","w3","w4","w5","w6","w7","w8","w9","w10","w11","w12",'

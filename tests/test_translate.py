@@ -33,6 +33,15 @@ def test_kw_to_el_pins():
         kw_to_el(parse("p & K[i]q | [r]s"))
 
 
+def test_kw_to_el_expands_each_shared_node_once(nodes_requested):
+    # as a tree, the reduction of six Kw announcements has 59,374 nodes and its
+    # expansion asks for about 97,000; as DAGs both are a few per announcement
+    g = reduce(parse("[Kw[i]p5][Kw[i]p4][Kw[i]p3][Kw[i]p2][Kw[i]p1][Kw[i]p0]Kw[i]q"))
+    nodes_requested.clear()
+    kw_to_el(g)
+    assert len(nodes_requested) < 200
+
+
 def test_el_to_kw_pins():
     assert el_to_kw(parse("K[i]p")) == parse("p & Kw[i]p")
     assert el_to_kw(parse("~K[i]K[j]q")) == parse(
