@@ -72,37 +72,21 @@ def cmd_mc(args) -> int:
 
 
 def cmd_decide(args) -> int:
+    """kwl decide and kwl sat: print the answer, and write the model that
+    comes with an invalid (a countermodel) or a satisfiable verdict."""
     f = _parse_formula(args.formula)
     cls = _frame_class(args.frame_class)
     try:
-        v = valid(f, cls, budget=args.budget)
+        r = args.decision(f, cls, budget=args.budget)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if v.valid:
-        print("valid")
-        return 0
-    print("invalid")
-    if args.countermodel:
-        with open(args.countermodel, "w") as fh:
-            fh.write(v.countermodel.to_json())
-    return 1
-
-
-def cmd_sat(args) -> int:
-    f = _parse_formula(args.formula)
-    cls = _frame_class(args.frame_class)
-    try:
-        r = sat(f, cls, budget=args.budget)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    if r.satisfiable:
-        print("satisfiable")
-        if args.model:
-            with open(args.model, "w") as fh:
-                fh.write(r.model.to_json())
-        return 0
-    print("unsatisfiable")
-    return 1
+    positive, model = args.outcome(r)
+    yes, no = args.answers
+    print(yes if positive else no)
+    if model is not None and args.model_path:
+        with open(args.model_path, "w") as fh:
+            fh.write(model.to_json())
+    return 0 if positive else 1
 
 
 def cmd_reduce(args) -> int:
@@ -167,17 +151,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.set_defaults(fn=cmd_mc)
 
-    for name, fn, verdict in (("decide", cmd_decide, "countermodel"),
-                              ("sat", cmd_sat, "model")):
+    # each: the decision, its verdict and model, the answer words, the model option
+    for name, decision, outcome, answers, model_option in (
+            ("decide", valid, lambda r: (r.valid, r.countermodel),
+             ("valid", "invalid"), "countermodel"),
+            ("sat", sat, lambda r: (r.satisfiable, r.model),
+             ("satisfiable", "unsatisfiable"), "model")):
         p = sub.add_parser(name, help=f"{name} a formula over a frame class")
         p.add_argument("formula")
         p.add_argument("--class", dest="frame_class", default="K",
                        help="frame class name (default K)")
-        p.add_argument(f"--{verdict}", default=None,
-                       help=f"write the found {verdict} to this file")
+        p.add_argument(f"--{model_option}", dest="model_path",
+                       metavar=model_option.upper(),
+                       help=f"write the found {model_option} to this file")
         p.add_argument("--budget", type=_budget, default=10**6,
                        help="tableau work budget (default 1000000)")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_decide, decision=decision, outcome=outcome, answers=answers)
 
     p = sub.add_parser("reduce", help="rewrite announcements away")
     p.add_argument("formula")

@@ -1,9 +1,11 @@
 """Frame-class-aware satisfiability and validity via a labelled tableau.
 
-Announcements are reduced away first.  One pass, _Tableau.nnf, then takes
-the formula to negation normal form and removes Kw with it: Kw[i]g becomes
-K[i]g | K[i]~g in general, and top over partial-functional frames, where it
-holds everywhere.  A tableau whose accessibility relations are kept closed
+One pass, _Tableau.nnf, takes the formula to negation normal form and
+removes announcements and Kw with it.  An announcement is rewritten by one
+reduction axiom (kwl.translate.step) and the pass goes on with the result,
+so no announcement-free copy is built first.  Kw[i]g becomes K[i]g | K[i]~g
+in general, and top over partial-functional frames, where it holds
+everywhere.  A tableau whose accessibility relations are kept closed
 under the frame conditions of the requested class searches for a model.  A
 satisfiable verdict carries a pointed model that has been re-checked against
 the original formula with the model checker; nothing is returned on faith.
@@ -34,6 +36,7 @@ from .formula import (
     BOT,
     TOP,
     And,
+    Announce,
     Bot,
     Formula,
     Iff,
@@ -58,7 +61,7 @@ from .semantics import (
     frame_properties,
     mc,
 )
-from .translate import reduce
+from .translate import step
 
 
 class BudgetExceeded(Exception):
@@ -163,8 +166,7 @@ def _rep(br, w) -> int:
 
 class _Tableau:
     """One call's search.  work is counted against the budget, preprocessing
-    included: one tick per new world, label entry, reduced node and NNF memo
-    entry."""
+    included: one tick per new world, label entry and NNF memo entry."""
 
     def __init__(self, props, agents, budget, pf):
         self.agents = agents
@@ -178,6 +180,7 @@ class _Tableau:
         self.branches = 0
         self.work = 0
         self.nnf_memo: dict = {}
+        self.weights: dict = {}  # complexity's memo, for step's check
 
     def _tick(self):
         self.work += 1
@@ -185,19 +188,24 @@ class _Tableau:
             raise BudgetExceeded(f"tableau budget of {self.budget} nodes exhausted")
 
     def nnf(self, f: Formula, neg: bool) -> Formula:
-        """Negation normal form of f, or of ~f when neg is set, with Kw expanded.
+        """Negation normal form of f, or of ~f when neg is set, with Kw and
+        announcements expanded.
 
         Kw[i]g becomes K[i]g | K[i]~g, and ~Kw[i]g becomes _Dia(i,~g) & _Dia(i,g);
         over partial-functional frames (pf) Kw[i]g holds everywhere and becomes
-        top.  The output has negation on propositions only, and no ->, <->, Kw or
-        announcement.  Memoised on (node, neg) for the call, so a subformula
-        that Kw or <-> copies is translated once per polarity, and _resolve_splits
-        finds a disjunct's complement here.
+        top.  [a]b becomes the normal form of step([a]b), its one-step rewrite,
+        which is the normal form of reduce([a]b) node for node.  The output has
+        negation on propositions only, and no ->, <->, Kw or announcement.
+        Memoised on (node, neg) for the call, so a subformula that Kw, <-> or a
+        reduction axiom copies is translated once per polarity, and
+        _resolve_splits finds a disjunct's complement here.  A memo miss ticks
+        the budget before it recurses, so a blow-up stops after budget misses.
         """
         key = (f, neg)
         out = self.nnf_memo.get(key)
         if out is not None:
             return out
+        self._tick()
         nnf, t = self.nnf, type(f)
         if t is Prop:
             out = Not(f) if neg else f
@@ -224,10 +232,11 @@ class _Tableau:
                 pos, negd = nnf(f.sub, False), nnf(f.sub, True)
                 out = (And(_Dia(f.agent, negd), _Dia(f.agent, pos)) if neg
                        else Or(K(f.agent, pos), K(f.agent, negd)))
+        elif t is Announce:
+            out = nnf(step(f, self.weights), neg)
         else:
-            raise TypeError(f"not an announcement-free formula: {f!r}")
+            raise TypeError(f"not a formula: {f!r}")
         self.nnf_memo[key] = out
-        self._tick()
         return out
 
     def _closed_rel(self, br, agent):
@@ -423,15 +432,13 @@ class _Tableau:
 
 def sat(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> DecisionResult:
     """Satisfiability of f over the class; a SAT verdict carries a verified model."""
-    lang = classify_language(f)
-    if lang == Language.PLKwAK:
+    if classify_language(f) == Language.PLKwAK:
         raise ValueError("announcements together with K are not supported")
     requirements = frame_class.requirements
     pf = FrameProperty.PARTIAL_FUNCTIONAL in requirements
     agents = sorted(agents_of(f))
     tab = _Tableau(requirements - {FrameProperty.PARTIAL_FUNCTIONAL}, agents, budget, pf)
-    g = reduce(f, tick=tab._tick) if lang == Language.PLKwA else f
-    open_branch = tab.solve(tab.nnf(g, False))
+    open_branch = tab.solve(tab.nnf(f, False))
     if isinstance(open_branch, int):
         return DecisionResult(False, None, tab.prefixes, tab.branches)
     model = tab.extract(open_branch, f, requirements)

@@ -239,13 +239,20 @@ def disj(parts: Sequence[Formula]) -> Formula:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """Every node of f, f itself first, in left-to-right preorder.
+    """Every distinct node of f, f itself first, in the left-to-right preorder
+    of first occurrence.
 
+    A node that several paths share is yielded, and its children walked, once,
+    so the walk is linear in f as a DAG however large f is as a tree.
     Iterative, so a formula nested deeper than the interpreter's stack is
     walked whole."""
+    seen = set()
     stack = [f]
     while stack:
         g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
         yield g
         stack += g.children()[::-1]
 
@@ -305,10 +312,23 @@ def agents_of(f: Formula) -> set[str]:
 
 
 def substitute(f: Formula, prop: str, replacement: Formula) -> Formula:
-    """Uniform substitution f[replacement/prop]."""
-    if isinstance(f, Prop):
-        return replacement if f.name == prop else f
-    return f.map(lambda g: substitute(g, prop, replacement))
+    """Uniform substitution f[replacement/prop].
+
+    Memoised on the node for the call, so a subformula that f shares is
+    substituted once and its result shared."""
+    memo: dict = {}
+
+    def walk(g: Formula) -> Formula:
+        out = memo.get(g)
+        if out is None:
+            if isinstance(g, Prop):
+                out = replacement if g.name == prop else g
+            else:
+                out = g.map(walk)
+            memo[g] = out
+        return out
+
+    return walk(f)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +337,8 @@ def substitute(f: Formula, prop: str, replacement: Formula) -> Formula:
 # Weight of an announcement prefix.  The multiplicative clause is the usual
 # one for announcement logics; the modal clause must weigh Kw/K heavier than
 # negation (2 + c rather than 1 + c) or the Kw reduction axiom, whose right
-# hand side mentions both [f]g and [f]~g, would not shrink.  reduce() asserts
-# the strict decrease on every rewrite it performs.
+# hand side mentions both [f]g and [f]~g, would not shrink.  translate.step
+# asserts the strict decrease on every rewrite it performs.
 
 
 def complexity(f: Formula, memo: Optional[dict] = None) -> int:

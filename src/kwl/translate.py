@@ -3,14 +3,13 @@
 kw_to_el rewrites Kw[i]g as K[i]g | K[i]~g and is truth preserving on every
 model.  el_to_kw rewrites K[i]g as g & Kw[i]g and is truth preserving on
 reflexive models only (on a non-reflexive model the conjunct g can fail at
-the evaluation world while K[i]g holds).  reduce eliminates announcements
-with the usual reduction equivalences, asserting on every rewrite that the
-weighted complexity of the redex strictly drops.
+the evaluation world while K[i]g holds).  step rewrites one announcement by
+the usual reduction equivalences, asserting that the weighted complexity of
+the redex strictly drops; reduce applies it until no announcement is left,
+and the negation normal form pass of kwl.decide applies it as it goes.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .formula import (
     TOP,
@@ -70,65 +69,61 @@ def el_to_kw(f: Formula) -> Formula:
 # announcement elimination
 
 
-def reduce(f: Formula, *, tick: Callable[[], None] = lambda: None) -> Formula:
+def reduce(f: Formula) -> Formula:
     """Announcement-free equivalent of f; rejects formulas mentioning K.
 
     The rewrites copy their subformulas, so the output can be exponentially
     larger than f as a tree, but not as a DAG: each node is reduced and
-    weighed once per call, and the nodes are shared.  tick is called once
-    for each compound node reduced; sat passes its budget's counter."""
+    weighed once per call, and the nodes are shared."""
     if not in_language(f, Language.PLKwA):
         raise ValueError(f"reduce handles the Kw language with announcements, got: {f}")
-    return _Reduction(tick).walk(f)
+    memo: dict = {}
+    weights: dict = {}
 
-
-class _Reduction:
-    """The memos of one call of reduce, keyed on the interned node."""
-
-    def __init__(self, tick):
-        self.memo: dict = {}
-        self.weights: dict = {}
-        self.tick = tick
-
-    def walk(self, f: Formula) -> Formula:
-        out = self.memo.get(f)
+    def walk(g: Formula) -> Formula:
+        out = memo.get(g)
         if out is not None:
             return out
-        kind = type(f)
+        kind = type(g)
         if kind is Announce:
             # innermost-first on the announced part, then peel the redex
-            redex = Announce(self.walk(f.announced), f.body)
-            rewritten = _step(redex.announced, redex.body)
-            assert (complexity(rewritten, self.weights)
-                    < complexity(redex, self.weights)), f"rewrite did not shrink: {redex}"
-            out = self.walk(rewritten)
+            out = walk(step(Announce(walk(g.announced), g.body), weights))
         elif kind is Prop or kind is Top or kind is Bot:
-            return f  # builds nothing
+            return g  # builds nothing
         else:
-            out = f.map(self.walk)
-        self.memo[f] = out
-        self.tick()
+            out = g.map(walk)
+        memo[g] = out
         return out
 
+    return walk(f)
 
-def _step(announced: Formula, body: Formula) -> Formula:
-    """One rewrite of the redex [announced]body, dispatching on the body."""
+
+def step(redex: Announce, weights: dict) -> Formula:
+    """One rewrite of the redex [a]b by the reduction axiom for b's shape.
+
+    Asserts that the weighted complexity strictly drops, so that rewriting
+    until no announcement is left terminates.  weights is complexity's memo,
+    kept by the caller across its steps, so each node is weighed once."""
+    announced, body = redex.announced, redex.body
     match body:
         case Top():
-            return TOP
+            out = TOP
         case Bot():
-            return Not(announced)
+            out = Not(announced)
         case Prop(_):
-            return Implies(announced, body)
+            out = Implies(announced, body)
         case Not(sub):
-            return Implies(announced, Not(Announce(announced, sub)))
+            out = Implies(announced, Not(Announce(announced, sub)))
         case Binary():
-            return body.map(lambda part: Announce(announced, part))
+            out = body.map(lambda part: Announce(announced, part))
         case Kw(agent, sub):
-            return Implies(
+            out = Implies(
                 announced,
                 Or(Kw(agent, Announce(announced, sub)),
                    Kw(agent, Announce(announced, Not(sub)))))
         case Announce(inner, sub):
-            return Announce(And(announced, Announce(announced, inner)), sub)
-    raise TypeError(f"not a formula: {body!r}")
+            out = Announce(And(announced, Announce(announced, inner)), sub)
+        case _:
+            raise TypeError(f"not a formula: {body!r}")
+    assert complexity(out, weights) < complexity(redex, weights), f"rewrite did not shrink: {redex}"
+    return out

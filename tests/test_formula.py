@@ -42,8 +42,12 @@ from kwl.formula import (
     substitute,
 )
 from kwl.semantics import FrameClass
+from kwl.translate import reduce
 
 P, Q, R = Prop("p"), Prop("q"), Prop("r")
+
+# as a tree, its reduction has 59,374 nodes; as a DAG, 55
+_SIX_ANNOUNCEMENTS = "[Kw[i]p5][Kw[i]p4][Kw[i]p3][Kw[i]p2][Kw[i]p1][Kw[i]p0]Kw[i]q"
 
 
 def test_parse_precedence():
@@ -194,6 +198,15 @@ def test_substitute():
     assert substitute(P, "p", parse("q | r")) == parse("q | r")
 
 
+def test_substitute_shares_its_work(nodes_requested):
+    g = reduce(parse(_SIX_ANNOUNCEMENTS))
+    nodes_requested.clear()
+    h = substitute(g, "q", R)
+    # at most one constructor call per distinct node of g, not one per path to it
+    assert len(nodes_requested) <= 55
+    assert h == reduce(parse(_SIX_ANNOUNCEMENTS.replace("Kw[i]q", "Kw[i]r")))
+
+
 def test_props_agents():
     f = parse("Kw[i](p & q) -> K[j]r")
     assert props_of(f) == {"p", "q", "r"}
@@ -212,11 +225,30 @@ def test_children_and_map_per_node_type():
         assert f.map(Not) == dataclasses.replace(f, **{k: Not(g) for k, g in subs.items()})
 
 
+def _tree_preorder(f):
+    yield f
+    for g in f.children():
+        yield from _tree_preorder(g)
+
+
 def test_subformulas_preorder():
     assert [render(g) for g in subformulas(parse("[p]Kw[i]q & ~r"))] == \
         ["[p]Kw[i]q & ~r", "[p]Kw[i]q", "p", "Kw[i]q", "q", "~r", "r"]
+    # a shared node comes once, where the preorder first reaches it
+    assert [render(g) for g in subformulas(parse("Kw[i]p & (q | Kw[i]p)"))] == \
+        ["Kw[i]p & (q | Kw[i]p)", "Kw[i]p", "p", "q | Kw[i]p", "q"]
     for f in enumerate_formulas(["p", "q"], ["i"], Language.PLKwAK, 5):
-        assert len(list(subformulas(f))) == node_count(f)
+        distinct = list(dict.fromkeys(_tree_preorder(f)))
+        assert len(list(subformulas(f))) == len(distinct)
+        assert list(subformulas(f)) == distinct
+
+
+def test_subformulas_walks_a_dag_once():
+    g = reduce(parse(_SIX_ANNOUNCEMENTS))
+    nodes = list(subformulas(g))
+    assert len(nodes) == len(set(nodes)) == 55
+    assert props_of(g) == {"p0", "p1", "p2", "p3", "p4", "p5", "q"}
+    assert classify_language(g) == Language.PLKw
 
 
 def test_deep_formulas_are_walked_without_recursion():
