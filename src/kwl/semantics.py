@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Optional
 
 from kwl.formula import (
@@ -85,7 +88,9 @@ class KripkeModel:
     rel: agent -> set of (source, target) pairs.
     val: proposition -> set of worlds where it is true.
     Order of the worlds list is preserved through JSON round trips so that
-    countermodels print stably.
+    countermodels print stably.  The evaluator reads the same relations and
+    valuation as masks over world indices (bit k is worlds[k]), built with
+    the model.
     """
 
     def __init__(self, worlds: Iterable[str], agents: Iterable[str],
@@ -96,36 +101,45 @@ class KripkeModel:
         self.agents = tuple(agents)
         if not self.worlds:
             raise ModelError("a model needs at least one world")
-        if len(set(self.worlds)) != len(self.worlds):
+        index = {w: k for k, w in enumerate(self.worlds)}
+        if len(index) != len(self.worlds):
             raise ModelError("duplicate world names")
         if len(set(self.agents)) != len(self.agents):
             raise ModelError("duplicate agent names")
-        wset = set(self.worlds)
         self.rel: dict[str, frozenset[tuple[str, str]]] = {}
         for agent, pairs in rel.items():
             if agent not in self.agents:
                 raise ModelError(f"relation for undeclared agent {agent!r}")
             self.rel[agent] = frozenset((s, t) for s, t in pairs)
-        self.succ: dict[str, dict[str, frozenset[str]]] = {}  # agent -> world -> successors
+        n = len(self.worlds)
+        succ, pred = {}, {}  # agent -> one mask per world
         for agent in self.agents:
-            succ = {w: [] for w in self.worlds}
+            out, back = [0] * n, [0] * n
             for s, t in self.rel.setdefault(agent, frozenset()):
-                if s not in wset or t not in wset:
+                if s not in index or t not in index:
                     raise ModelError(f"edge ({s!r}, {t!r}) mentions an unknown world")
-                succ[s].append(t)
-            self.succ[agent] = {w: frozenset(ts) for w, ts in succ.items()}
+                out[index[s]] |= 1 << index[t]
+                back[index[t]] |= 1 << index[s]
+            succ[agent], pred[agent] = out, back
         self.val: dict[str, frozenset[str]] = {}
+        masks = {}
         for prop, where in val.items():
-            where = frozenset(where)
-            if not where <= wset:
-                raise ModelError(f"valuation of {prop!r} mentions unknown worlds")
-            self.val[prop] = where
-        if point is not None and point not in wset:
+            self.val[prop] = where = frozenset(where)
+            try:
+                masks[prop] = sum(1 << index[w] for w in where)
+            except KeyError:
+                raise ModelError(f"valuation of {prop!r} mentions unknown worlds") from None
+        if point is not None and point not in index:
             raise ModelError(f"point {point!r} is not a world")
         self.point = point
+        self._index = index
+        self._space = _Space(n, succ, pred, masks)
 
     def successors(self, agent: str, world: str) -> frozenset[str]:
-        return self.succ.get(agent, {}).get(world, _EMPTY)
+        rel, k = self._space.succ.get(agent), self._index.get(world)
+        if rel is None or k is None:
+            return _EMPTY
+        return frozenset(w for j, w in enumerate(self.worlds) if rel[k] >> j & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KripkeModel):
@@ -205,22 +219,64 @@ def _is_names(value) -> bool:
 # model checking
 
 
+# up to this many worlds, a loop over the bits of a world set beats selecting
+# the rows in C; the selectors are the binary digits, lowest first
+_FEW_WORLDS = 12
+_BINARY = bytes.maketrans(b"01", b"\0\1")
+
+
+class _Space:
+    """The worlds 0..n-1 of a frame under `copies` valuations side by side:
+    bit v*n + k of a world set stands for world k under valuation v, and
+    copies is a power of two.  succ/pred: agent -> one mask per world of
+    its successors/predecessors in copy 0.  val: proposition -> world set.
+    full: every position.  unit: bit 0 of every copy."""
+
+    __slots__ = ("succ", "pred", "val", "full", "unit")
+
+    def __init__(self, n: int, succ: dict, pred: dict, val: dict, copies: int = 1):
+        self.succ, self.pred, self.val = succ, pred, val
+        self.full = (1 << n * copies) - 1
+        self.unit = 1
+        while copies > 1:  # doubling, so no big-int division
+            self.unit |= self.unit << n
+            n, copies = n << 1, copies >> 1
+
+    def image(self, rel: list[int], ws: int) -> int:
+        """The positions that rel relates to some position of ws, copy by copy."""
+        if self.unit != 1:  # one multiply tiles a world's row over the copies it is in
+            unit = self.unit
+            return reduce(or_, [(ws >> k & unit) * row for k, row in enumerate(rel)], 0)
+        if ws.bit_count() > _FEW_WORLDS:
+            return reduce(or_, compress(rel, bin(ws)[:1:-1].encode().translate(_BINARY)), 0)
+        out = 0
+        while ws:
+            bit = ws & -ws
+            out |= rel[bit.bit_length() - 1]
+            ws ^= bit
+        return out
+
+
 def mc(model: KripkeModel, world: str, f: Formula) -> bool:
     """Truth of f at world."""
-    if world not in model.worlds:
+    k = model._index.get(world)
+    if k is None:
         raise ModelError(f"unknown world {world!r}")
-    return bool(_ext(model, f, frozenset((world,)), {}))
+    return bool(_ext(model._space, f, 1 << k, model._space.full, {}))
 
 
 def model_valid(model: KripkeModel, f: Formula) -> bool:
-    return len(_ext(model, f, frozenset(model.worlds), {})) == len(model.worlds)
+    full = model._space.full
+    return _ext(model._space, f, full, full, {}) == full
 
 
-def restrict(model: KripkeModel, f: Formula, *, _memo: Optional[dict] = None) -> Optional[KripkeModel]:
+def restrict(model: KripkeModel, f: Formula) -> Optional[KripkeModel]:
     """Submodel on the worlds satisfying f, or None when no world does."""
-    keep = _ext(model, f, frozenset(model.worlds), {} if _memo is None else _memo)
-    if not keep:
+    full = model._space.full
+    mask = _ext(model._space, f, full, full, {})
+    if not mask:
         return None
+    keep = {w for k, w in enumerate(model.worlds) if mask >> k & 1}
     return KripkeModel(
         [w for w in model.worlds if w in keep],
         model.agents,
@@ -231,68 +287,104 @@ def restrict(model: KripkeModel, f: Formula, *, _memo: Optional[dict] = None) ->
     )
 
 
-def _ext(m: KripkeModel, f: Formula, ws: frozenset[str], memo: dict) -> frozenset[str]:
-    """The worlds of ws where f holds in m.  The right side of And/Or/Implies
-    is evaluated on the worlds its left side leaves open, the argument of
-    K[i]/Kw[i] once on all successors of ws.  memo maps (id of a model,
-    announced formula) to the restriction, for one top-level call."""
+_UNASKED = (0, 0)
+
+
+def _ext(sp: _Space, f: Formula, ws: int, dom: int, memo: dict) -> int:
+    """The worlds of ws where f holds in the submodel on the worlds dom
+    (ws <= dom).  The right side of And/Or/Implies is evaluated on the
+    worlds its left side leaves open, the argument of K[i]/Kw[i] once on
+    all successors of ws, the body of [a]b under the domain dom & ext(a).
+    memo maps (K/Kw node or announced formula, dom) to (worlds asked,
+    worlds found true), for one top-level call, so that no world is asked
+    twice."""
     if not ws:
         return ws
     # an if-chain on the exact type: class patterns in a match cost twice as much
     kind = type(f)
     if kind is Prop:
-        return ws & m.val.get(f.name, _EMPTY)
+        return ws & sp.val.get(f.name, 0)
     if kind is K or kind is Kw:
-        succ = m.succ.get(f.agent)
-        if succ is None:  # an agent the model does not know sees nothing
+        rel = sp.succ.get(f.agent)
+        if rel is None:  # an agent the model does not know sees nothing
             return ws
-        holds = _ext(m, f.sub, _EMPTY.union(*map(succ.__getitem__, ws)), memo)
-        return frozenset(w for w in ws if succ[w] <= holds
-                         or kind is Kw and succ[w].isdisjoint(holds))
+        key = (f, dom)
+        asked, true = memo.get(key, _UNASKED)
+        todo = ws & ~asked
+        if todo:
+            reach = sp.image(rel, todo) & dom
+            holds = _ext(sp, f.sub, reach, dom, memo)
+            back = sp.pred[f.agent]
+            fails = sp.image(back, reach & ~holds)
+            if kind is Kw:  # fails only with successors on both sides
+                fails &= sp.image(back, holds)
+            true |= todo & ~fails
+            memo[key] = (asked | todo, true)
+        return ws & true
     if kind is Not:
-        return ws - _ext(m, f.sub, ws, memo)
+        return ws & ~_ext(sp, f.sub, ws, dom, memo)
     if kind is And:
-        return _ext(m, f.right, _ext(m, f.left, ws, memo), memo)
+        return _ext(sp, f.right, _ext(sp, f.left, ws, dom, memo), dom, memo)
     if kind is Or:
-        left = _ext(m, f.left, ws, memo)
-        return left | _ext(m, f.right, ws - left, memo)
+        left = _ext(sp, f.left, ws, dom, memo)
+        return left | _ext(sp, f.right, ws & ~left, dom, memo)
     if kind is Implies:
-        left = _ext(m, f.left, ws, memo)
-        return (ws - left) | _ext(m, f.right, left, memo)
+        left = _ext(sp, f.left, ws, dom, memo)
+        return ws & ~left | _ext(sp, f.right, left, dom, memo)
     if kind is Iff:
-        return ws - (_ext(m, f.left, ws, memo) ^ _ext(m, f.right, ws, memo))
+        return ws & ~(_ext(sp, f.left, ws, dom, memo) ^ _ext(sp, f.right, ws, dom, memo))
     if kind is Top:
         return ws
     if kind is Bot:
-        return _EMPTY
+        return 0
     if kind is Announce:
-        held = _ext(m, f.announced, ws, memo)
-        if not held:
-            return ws
-        key = (id(m), f.announced)
-        if key not in memo:
-            memo[key] = restrict(m, f.announced, _memo=memo)
-        return (ws - held) | _ext(memo[key], f.body, held, memo)
+        key = (f.announced, dom)
+        asked, true = memo.get(key, _UNASKED)
+        if ws & ~asked:
+            true |= _ext(sp, f.announced, ws & ~asked, dom, memo)
+            asked |= ws
+        held = ws & true
+        if held and asked != dom:  # the body needs the whole new domain
+            true |= _ext(sp, f.announced, dom & ~asked, dom, memo)
+            asked = dom
+        memo[key] = (asked, true)
+        return ws & ~held | _ext(sp, f.body, held, true, memo)
     raise TypeError(f"not a formula: {f!r}")
 
 
 _FRAME_VALID_BITS = 20
+_BLOCK_BITS = 10  # valuation bits that vary within one pass of _ext
 
 
 def frame_valid(model: KripkeModel, f: Formula) -> bool:
     """Truth of f at every world under every valuation of its propositions
     over the model's frame.  Exhaustive, so the number of proposition/world
-    bits is capped.  One model of the frame takes each valuation in turn."""
+    bits is capped.  Valuation index bit i*n + k says whether the i-th
+    proposition holds at world k.  One pass of _ext takes a block of up to
+    2^_BLOCK_BITS valuations side by side, in which the low bits vary and
+    the others are fixed; the blocks are swept in order up to the first
+    one with a failing valuation."""
     props, n = sorted(props_of(f)), len(model.worlds)
     bits = len(props) * n
     if bits > _FRAME_VALID_BITS:
         raise ValueError(f"{bits} valuation bits exceed the cap of {_FRAME_VALID_BITS}")
-    candidate = KripkeModel(model.worlds, model.agents, model.rel, {})
-    for mask in range(1 << bits):
-        candidate.val = {p: frozenset(w for j, w in enumerate(model.worlds)
-                                      if mask >> (i * n + j) & 1)
-                         for i, p in enumerate(props)}
-        if not model_valid(candidate, f):
+    inner = min(bits, _BLOCK_BITS)
+    sp = _Space(n, model._space.succ, model._space.pred, {}, 1 << inner)
+    fixed = {p: 0 for p in props}
+    for j in range(inner):
+        # bit 0 of the copies whose index has bit j set: the copy 2^j, doubled
+        # along every other index bit
+        tile = 1 << (n << j)
+        for other in range(inner):
+            if other != j:
+                tile |= tile << (n << other)
+        fixed[props[j // n]] |= tile << j % n
+    for block in range(1 << (bits - inner)):
+        sp.val = dict(fixed)
+        for j in range(inner, bits):
+            if block >> (j - inner) & 1:
+                sp.val[props[j // n]] |= sp.unit << j % n
+        if _ext(sp, f, sp.full, sp.full, {}) != sp.full:
             return False
     return True
 
@@ -303,17 +395,21 @@ def frame_valid(model: KripkeModel, f: Formula) -> bool:
 
 def frame_properties(model: KripkeModel) -> set[FrameProperty]:
     """Properties holding for every agent's relation."""
-    ws = model.worlds
+    sp = model._space
     tests = {
-        FrameProperty.SERIAL: lambda succ: all(succ[w] for w in ws),
-        FrameProperty.REFLEXIVE: lambda succ: all(w in succ[w] for w in ws),
-        FrameProperty.SYMMETRIC: lambda succ: all(s in succ[t] for s in ws for t in succ[s]),
-        FrameProperty.TRANSITIVE: lambda succ: all(succ[t] <= succ[s] for s in ws for t in succ[s]),
+        FrameProperty.SERIAL: lambda succ, pred: all(succ),
+        FrameProperty.REFLEXIVE: lambda succ, pred: all(m >> k & 1 for k, m in enumerate(succ)),
+        FrameProperty.SYMMETRIC: lambda succ, pred: succ == pred,
+        # sRt and tRu imply sRu
+        FrameProperty.TRANSITIVE: lambda succ, pred: all(
+            not sp.image(succ, m) & ~m for m in succ),
         # sRt and sRu imply tRu
-        FrameProperty.EUCLIDEAN: lambda succ: all(succ[s] <= succ[t] for s in ws for t in succ[s]),
-        FrameProperty.PARTIAL_FUNCTIONAL: lambda succ: all(len(succ[w]) <= 1 for w in ws),
+        FrameProperty.EUCLIDEAN: lambda succ, pred: all(
+            not sp.image(succ, p) & ~m for m, p in zip(succ, pred)),
+        FrameProperty.PARTIAL_FUNCTIONAL: lambda succ, pred: all(not m & (m - 1) for m in succ),
     }
-    return {p for p, holds in tests.items() if all(holds(model.succ[a]) for a in model.agents)}
+    return {p for p, holds in tests.items()
+            if all(holds(sp.succ[a], sp.pred[a]) for a in model.agents)}
 
 
 def satisfies_class(model: KripkeModel, frame_class: FrameClass) -> bool:

@@ -14,8 +14,9 @@ from helpers import (
     reference_restrict,
 )
 from kwl import semantics
+from kwl.decide import valid
 from kwl.fixtures import FIXTURES, announce, f1, f2, m1
-from kwl.formula import BOT, And, Announce, Kw, Language, Not, Prop, parse
+from kwl.formula import BOT, And, Announce, K, Kw, Language, Not, Prop, parse, props_of
 from kwl.semantics import (
     FrameClass,
     FrameProperty,
@@ -29,6 +30,7 @@ from kwl.semantics import (
     restrict,
     satisfies_class,
 )
+from kwl.translate import reduce
 
 
 def test_m1_pins():
@@ -170,6 +172,67 @@ def test_frame_valid():
         frame_valid(big, parse("p | ~p"))
 
 
+def _valid_under_each_valuation(frame: KripkeModel, f) -> bool:
+    props, n = sorted(props_of(f)), len(frame.worlds)
+    return all(model_valid(KripkeModel(frame.worlds, frame.agents, frame.rel,
+                                       {p: [w for k, w in enumerate(frame.worlds)
+                                            if v >> (i * n + k) & 1]
+                                        for i, p in enumerate(props)}), f)
+               for v in range(1 << len(props) * n))
+
+
+def test_frame_valid_sweeps_blocks_of_valuations():
+    """Frames of 11 and 12 valuation bits take 2 and 4 blocks.  Agent i's
+    dead ends are the last worlds, so a valuation that makes p or q true at
+    one of them, the only kind of counterexample to the first two formulas,
+    sets a bit above the first block.  Agent j is missing from the frames."""
+    six = [f"w{k}" for k in range(6)]
+    eleven = [f"w{k}" for k in range(11)]
+    frames = [KripkeModel(six, ["i"], {"i": [(six[k], six[(k + 1) % 4]) for k in range(4)]
+                                         + [("w0", "w2")]}, {}),
+              KripkeModel(eleven, ["i"], {"i": [(eleven[k], eleven[k + 1]) for k in range(10)]},
+                          {})]
+    for frame, text, expected in (
+            (frames[0], "K[i]bot -> ~(q & (p | ~p))", False),
+            (frames[1], "K[i]bot -> ~p", False),
+            (frames[0], "Kw[i]p -> Kw[i]~p | q", True),
+            (frames[0], "Kw[j](p & q) & K[j]bot", True),
+            (frames[0], "Kw[i]p | Kw[j]q", True),
+            (frames[1], "Kw[i]p -> Kw[i]Kw[i]p", True),
+            (frames[0], "Kw[i](p -> q) -> Kw[i]q", False),
+            (frames[1], "Kw[j]p -> K[i]p", False)):
+        f = parse(text)
+        assert frame_valid(frame, f) == expected, text
+        assert reference_frame_valid(frame, f) == expected, text
+        assert _valid_under_each_valuation(frame, f) == expected, text
+
+
+def test_frame_valid_at_the_cap(monkeypatch):
+    """10 worlds and 2 propositions: a valid formula takes all 2^10 blocks,
+    an invalid one stops in the first block with a counterexample.  The
+    first block varies p only."""
+    passes = []
+    original = semantics._ext
+
+    def counting(sp, f, ws, dom, memo):
+        if f is root:
+            passes.append(ws)
+        return original(sp, f, ws, dom, memo)
+
+    monkeypatch.setattr(semantics, "_ext", counting)
+    worlds = [f"w{k}" for k in range(10)]
+    frame = KripkeModel(worlds, ["i"], {"i": [(s, t) for b in (0, 5) for s in worlds[b:b + 5]
+                                              for t in worlds[b:b + 5]]}, {})
+    root = parse("Kw[i]p -> Kw[i](Kw[i]p | q)")
+    assert frame_valid(frame, root)
+    assert len(passes) == 1 << 10
+    for text, blocks in (("Kw[i]q -> Kw[i]p", 1), ("Kw[i]p -> Kw[i]q", 2)):
+        passes.clear()
+        root = parse(text)
+        assert not frame_valid(frame, root)
+        assert len(passes) == blocks
+
+
 def test_model_valid():
     m = m1()
     assert model_valid(m, parse("p -> ~q | q"))
@@ -226,7 +289,8 @@ def test_model_document_schema(tmp_path):
 def test_evaluator_agrees_with_reference():
     """mc, model_valid, restrict and frame_valid against the world-by-world
     oracle, on models with worlds that see nothing and formulas with
-    announcements inside announced formulas and bodies."""
+    announcements inside announced formulas and bodies.  The 40-70-world
+    models make world sets of more than one 30-bit digit of a CPython int."""
     rng = random.Random(41)
     agents = ("i", "j")
     for _ in range(300):
@@ -243,17 +307,42 @@ def test_evaluator_agrees_with_reference():
         frame = random_model(rng, FrameClass.K, max_worlds=3, agents=agents)
         h = random_formula(rng, 4, agents=agents, lang=Language.PLKwA)
         assert frame_valid(frame, h) == reference_frame_valid(frame, h)
+    agents = ("i", "j", "k")
+    for _ in range(8):
+        worlds = [f"w{k}" for k in range(rng.randint(40, 70))]
+        m = KripkeModel(worlds, agents,
+                        {a: [(s, t) for s in worlds for t in rng.sample(worlds, rng.randint(0, 3))]
+                         for a in agents},
+                        {p: rng.sample(worlds, len(worlds) // 2) for p in ("p", "q")})
+        f = random_formula(rng, 2, agents=agents, lang=Language.PLKwAK)
+        g = random_formula(rng, 2, agents=agents, lang=Language.PLKwA)
+        a, b = rng.choice(agents), rng.choice(agents)
+        for h in (Kw(a, Announce(g, f)), K(b, Announce(f, Kw(a, g)))):
+            sub = reference_restrict(m, h)
+            truth = [sub is not None and w in sub.worlds for w in m.worlds]
+            assert [mc(m, w, h) for w in m.worlds] == truth
+            assert model_valid(m, h) == all(truth)
+            assert restrict(m, h) == sub
 
 
-def test_model_valid_restricts_once_per_announcement(monkeypatch):
-    calls = []
-    original = semantics.restrict
+def test_model_valid_evaluates_each_announced_formula_once_per_domain(monkeypatch):
+    """The announcement [a]b evaluates a on the whole domain to make the
+    domain of b.  Over one domain, the calls that evaluate a for any
+    announcement [a]... ask disjoint sets of worlds."""
+    calls, parents = [], [None]
+    original = semantics._ext
 
-    def counting(model, f, **kwargs):
-        calls.append((model.worlds, f))
-        return original(model, f, **kwargs)
+    def recording(sp, f, ws, dom, memo):
+        parent = parents[-1]
+        if type(parent) is Announce and f is parent.announced:
+            calls.append((f, dom, ws))
+        parents.append(f)
+        try:
+            return original(sp, f, ws, dom, memo)
+        finally:
+            parents.pop()
 
-    monkeypatch.setattr(semantics, "restrict", counting)
+    monkeypatch.setattr(semantics, "_ext", recording)
     rng = random.Random(7)
     worlds = [f"w{k}" for k in range(200)]
     rel = {"i": [(s, t) for b in range(0, 200, 4)
@@ -265,4 +354,29 @@ def test_model_valid_restricts_once_per_announcement(monkeypatch):
     g = "([b]Kw[j](c | ~a))"
     f = parse(f"[a]Kw[i]{g} <-> (a -> Kw[i][a]{g} | Kw[i][a]~{g})")
     assert model_valid(m, f)
-    assert calls and len(calls) == len(set(calls))
+    asked = {}
+    for announced, dom, ws in calls:
+        seen = asked.get((announced, dom), 0)
+        assert not seen & ws
+        asked[(announced, dom)] = seen | ws
+    # a over all worlds, and b over the worlds where a holds
+    assert {(str(a), dom) for a, dom in asked} == {
+        ("a", (1 << 200) - 1), ("b", sum(1 << k for k, w in enumerate(worlds) if w in m.val["a"]))}
+
+
+def test_ext_calls_on_a_reduced_announcement_dag(monkeypatch):
+    """The mc re-check of a countermodel to a reduced DAG with ten nested Kw
+    announcements (91 distinct nodes, 37 million as a tree) evaluates each
+    K/Kw node once per domain and world, not once per path."""
+    count = [0]
+    original = semantics._ext
+
+    def counting(*args):
+        count[0] += 1
+        return original(*args)
+
+    f = parse("".join(f"[Kw[i]p{k}]" for k in reversed(range(10))) + "Kw[i]q")
+    g = reduce(f)
+    monkeypatch.setattr(semantics, "_ext", counting)
+    assert not valid(g, FrameClass.S5).valid
+    assert 0 < count[0] <= 25_000
