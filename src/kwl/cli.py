@@ -8,7 +8,7 @@ search budget or a derivation step whose tautology check gave up at its work cap
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 from .decide import BudgetExceeded, sat, valid
@@ -33,7 +33,7 @@ class _UsageError(Exception):
 def _load_model(path: str):
     try:
         return load_model(path)
-    except (OSError, json.JSONDecodeError, ModelError) as exc:
+    except (OSError, UnicodeDecodeError, ModelError) as exc:
         raise _UsageError(f"cannot load model {path}: {exc}") from exc
 
 
@@ -77,11 +77,14 @@ def cmd_decide(args) -> int:
     f = _parse_formula(args.formula)
     cls = _frame_class(args.frame_class)
     try:
-        r = args.decision(f, cls, budget=args.budget)
+        if args.command == "decide":
+            r = valid(f, cls, budget=args.budget)
+            positive, model, yes, no = r.valid, r.countermodel, "valid", "invalid"
+        else:
+            r = sat(f, cls, budget=args.budget)
+            positive, model, yes, no = r.satisfiable, r.model, "satisfiable", "unsatisfiable"
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    positive, model = args.outcome(r)
-    yes, no = args.answers
     print(yes if positive else no)
     if model is not None and args.model_path:
         with open(args.model_path, "w") as fh:
@@ -111,7 +114,7 @@ def cmd_translate(args) -> int:
 def cmd_check(args) -> int:
     try:
         d = load_derivation(args.proof)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot load derivation {args.proof}: {exc}") from exc
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -141,7 +144,12 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call of main.  It
+    holds the name of each command's function, not the function: main looks
+    the name up in this module on every call, so a rebinding of a module
+    global (a test's monkeypatch, a tracer) takes effect at the next call."""
     parser = argparse.ArgumentParser(prog="kwl")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -149,14 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("world")
     p.add_argument("formula")
-    p.set_defaults(fn=cmd_mc)
+    p.set_defaults(fn_name="cmd_mc")
 
-    # each: the decision, its verdict and model, the answer words, the model option
-    for name, decision, outcome, answers, model_option in (
-            ("decide", valid, lambda r: (r.valid, r.countermodel),
-             ("valid", "invalid"), "countermodel"),
-            ("sat", sat, lambda r: (r.satisfiable, r.model),
-             ("satisfiable", "unsatisfiable"), "model")):
+    for name, model_option in (("decide", "countermodel"), ("sat", "model")):
         p = sub.add_parser(name, help=f"{name} a formula over a frame class")
         p.add_argument("formula")
         p.add_argument("--class", dest="frame_class", default="K",
@@ -166,28 +169,28 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"write the found {model_option} to this file")
         p.add_argument("--budget", type=_budget, default=10**6,
                        help="tableau work budget (default 1000000)")
-        p.set_defaults(fn=cmd_decide, decision=decision, outcome=outcome, answers=answers)
+        p.set_defaults(fn_name="cmd_decide")
 
     p = sub.add_parser("reduce", help="rewrite announcements away")
     p.add_argument("formula")
-    p.set_defaults(fn=cmd_reduce)
+    p.set_defaults(fn_name="cmd_reduce")
 
     p = sub.add_parser("translate", help="translate between Kw and K languages")
     p.add_argument("direction", choices=["t", "tprime"])
     p.add_argument("formula")
-    p.set_defaults(fn=cmd_translate)
+    p.set_defaults(fn_name="cmd_translate")
 
     p = sub.add_parser("check", help="replay a derivation file")
     p.add_argument("proof")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn_name="cmd_check")
 
     p = sub.add_parser("frame", help="report frame properties of a model")
     p.add_argument("model")
-    p.set_defaults(fn=cmd_frame)
+    p.set_defaults(fn_name="cmd_frame")
 
     p = sub.add_parser("fixtures", help="fixture self-tests")
     p.add_argument("action", choices=["verify"])
-    p.set_defaults(fn=cmd_fixtures)
+    p.set_defaults(fn_name="cmd_fixtures")
 
     return parser
 
@@ -199,7 +202,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()[args.fn_name](args)
     except _UsageError as exc:
         print(f"kwl: {exc}", file=sys.stderr)
         return 2

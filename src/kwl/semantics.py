@@ -110,23 +110,26 @@ class KripkeModel:
         for agent, pairs in rel.items():
             if agent not in self.agents:
                 raise ModelError(f"relation for undeclared agent {agent!r}")
-            self.rel[agent] = frozenset((s, t) for s, t in pairs)
+            self.rel[agent] = frozenset(map(tuple, pairs))
         n = len(self.worlds)
+        bit = [1 << k for k in range(n)]
         succ, pred = {}, {}  # agent -> one mask per world
         for agent in self.agents:
             out, back = [0] * n, [0] * n
-            for s, t in self.rel.setdefault(agent, frozenset()):
-                if s not in index or t not in index:
-                    raise ModelError(f"edge ({s!r}, {t!r}) mentions an unknown world")
-                out[index[s]] |= 1 << index[t]
-                back[index[t]] |= 1 << index[s]
+            try:
+                for s, t in self.rel.setdefault(agent, frozenset()):
+                    ks, kt = index[s], index[t]
+                    out[ks] |= bit[kt]
+                    back[kt] |= bit[ks]
+            except KeyError:
+                raise ModelError(f"edge ({s!r}, {t!r}) mentions an unknown world") from None
             succ[agent], pred[agent] = out, back
         self.val: dict[str, frozenset[str]] = {}
         masks = {}
         for prop, where in val.items():
             self.val[prop] = where = frozenset(where)
             try:
-                masks[prop] = sum(1 << index[w] for w in where)
+                masks[prop] = sum(bit[index[w]] for w in where)
             except KeyError:
                 raise ModelError(f"valuation of {prop!r} mentions unknown worlds") from None
         if point is not None and point not in index:
@@ -194,8 +197,7 @@ class KripkeModel:
                 ("point" not in data or isinstance(point, str), "point must be a world")):
             if not ok:
                 raise ModelError(f"malformed model document: {what}")
-        return cls(worlds, agents, {a: [tuple(e) for e in edges] for a, edges in rel.items()},
-                   val, point=point)
+        return cls(worlds, agents, rel, val, point=point)
 
     @classmethod
     def from_json(cls, text: str) -> "KripkeModel":

@@ -1,9 +1,13 @@
 """Command-line interface: verdict lines and the exit-code contract."""
 
+import argparse
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,14 +79,27 @@ def test_budget_below_one_is_a_usage_error(capsys):
 
 def test_malformed_model_documents(capsys, tmp_path):
     good = json.loads((ROOT / "fixtures" / "m1.json").read_text())
-    for name, bad in (("string_worlds", {**good, "worlds": "st"}),
-                      ("three_element_edge", {**good, "rel": {"i": [["s", "t", "s"]]}}),
-                      ("list_world_name", {**good, "worlds": [["s"], "t"]})):
+    for name, bad, text in (
+            ("string_worlds", {**good, "worlds": "st"},
+             "malformed model document: worlds must be a list of strings"),
+            ("three_element_edge", {**good, "rel": {"i": [["s", "t", "s"]]}},
+             "malformed model document: rel must map each agent to a list of "
+             "[source, target] world pairs"),
+            ("list_world_name", {**good, "worlds": [["s"], "t"]},
+             "malformed model document: worlds must be a list of strings"),
+            ("unknown_world_and_bad_val", {**good, "rel": {"i": [["s", "u"]]}, "val": {"q": "t"}},
+             "malformed model document: val must map each proposition to a list of worlds"),
+            ("unknown_world_and_unknown_val", {**good, "rel": {"i": [["u", "s"]]},
+                                               "val": {"q": ["u"]}},
+             "edge ('u', 's') mentions an unknown world"),
+            ("undeclared_agent_and_bad_point", {**good, "rel": {"j": []}, "point": ["s"]},
+             "malformed model document: point must be a world"),
+            ("undeclared_agent_and_unknown_point", {**good, "rel": {"j": []}, "point": "u"},
+             "relation for undeclared agent 'j'")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
         code, out, err = run(capsys, "frame", str(path))
-        assert (code, out) == (2, ""), name
-        assert "cannot load model" in err, name
+        assert (code, out, err) == (2, "", f"kwl: cannot load model {path}: {text}\n"), name
 
 
 def test_deep_nesting(capsys):
@@ -90,12 +107,21 @@ def test_deep_nesting(capsys):
     assert (code, out, err) == (2, "", "kwl: input too deeply nested\n")
 
 
-def test_internal_error_is_exit_2(capsys, monkeypatch):
-    def broken(*args, **kwargs):
-        raise RuntimeError("boom")
+def _broken(*args, **kwargs):
+    raise RuntimeError("boom")
 
-    monkeypatch.setattr("kwl.cli.valid", broken)
+
+def test_internal_error_is_exit_2(capsys, monkeypatch):
+    run(capsys, "decide", "p")  # the parser is built before the rebinding
+    monkeypatch.setattr("kwl.cli.valid", _broken)
     code, out, err = run(capsys, "decide", "p")
+    assert (code, out, err) == (2, "", "kwl: internal error: boom\n")
+
+
+def test_internal_error_in_sat_is_exit_2(capsys, monkeypatch):
+    run(capsys, "sat", "p")
+    monkeypatch.setattr("kwl.cli.sat", _broken)
+    code, out, err = run(capsys, "sat", "p")
     assert (code, out, err) == (2, "", "kwl: internal error: boom\n")
 
 
@@ -199,6 +225,74 @@ def test_usage_errors(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "decide")[0] == 2
+
+
+COMMANDS = ("mc", "decide", "sat", "reduce", "translate", "check", "frame", "fixtures")
+
+
+def test_non_utf8_input_files(capsys, tmp_path):
+    decode = "'utf-8' codec can't decode byte 0xff in position 1: invalid start byte"
+    path = tmp_path / "latin1"
+    path.write_bytes(b"{\xff}")
+    for argv, what in ((("frame", str(path)), "model"),
+                       (("mc", str(path), "s", "p"), "model"),
+                       (("check", str(path)), "derivation")):
+        assert run(capsys, *argv) == (2, "", f"kwl: cannot load {what} {path}: {decode}\n"), argv
+
+
+def test_repeated_calls_print_the_same(capsys):
+    """The parser is built once per process; every call still parses afresh."""
+    calls = [("--help",), (), ("bogus",), ("--budget", "5")]
+    calls += [(command, "--help") for command in COMMANDS]
+    calls += [(command,) for command in COMMANDS]
+    calls += [("mc", M1, "s"), ("decide", "p", "--budget", "0"), ("sat", "p", "--class"),
+              ("decide", "p", "--model", "x"), ("translate", "x", "p"), ("fixtures", "run"),
+              ("reduce", "p", "q")]
+    for argv in calls:
+        first = run(capsys, *argv)
+        assert first[0] in (0, 2) and first[1] + first[2], argv
+        assert run(capsys, *argv) == first, argv
+
+
+def test_options_of_one_call_do_not_reach_the_next(capsys, tmp_path):
+    f = "Kw[i]p -> Kw[i]Kw[i]p"
+    assert run(capsys, "decide", f, "--class", "K4", "--budget", "5")[0] == 3
+    assert run(capsys, "decide", f, "--class", "K4") == (0, "valid\n", "")
+    for command, option, formula, code in (("sat", "--model", "p", 0),
+                                           ("decide", "--countermodel", "Kw[i]p", 1)):
+        path = tmp_path / "written.json"
+        assert run(capsys, command, formula, option, str(path))[0] == code
+        path.unlink()
+        assert run(capsys, command, formula)[0] == code
+        assert list(tmp_path.iterdir()) == [], command
+
+
+def test_one_parser_over_many_calls(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for n in range(50):
+        run(capsys, *(("reduce", "[p]q"), ("mc", M1, "s", "q"), ("bogus",))[n % 3])
+    assert built.count("kwl") <= 1
+
+
+def test_import_builds_no_parser():
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "argparse.ArgumentParser.__init__ = "
+             "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+             "import kwl.cli\n"
+             "print(len(built))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "0\n"
 
 
 def test_all_corpus_files_check_via_cli(capsys):

@@ -86,18 +86,28 @@ def test_restrict():
 
 
 def test_model_validation_errors():
-    with pytest.raises(ModelError):
-        KripkeModel([], ["i"], {}, {})
-    with pytest.raises(ModelError):
-        KripkeModel(["s"], ["i"], {"i": [("s", "t")]}, {})
-    with pytest.raises(ModelError):
-        KripkeModel(["s"], ["i"], {"j": []}, {})
-    with pytest.raises(ModelError):
-        KripkeModel(["s"], ["i"], {}, {"p": ["t"]})
-    with pytest.raises(ModelError):
-        KripkeModel(["s"], ["i"], {}, {}, point="t")
-    with pytest.raises(ModelError):
-        KripkeModel(["s", "s"], ["i"], {}, {})
+    for args, kwargs, text in (
+            (([], ["i"], {}, {}), {}, "a model needs at least one world"),
+            ((["s"], ["i"], {"i": [("s", "t")]}, {}), {},
+             "edge ('s', 't') mentions an unknown world"),
+            ((["s"], ["i"], {"j": []}, {}), {}, "relation for undeclared agent 'j'"),
+            ((["s"], ["i"], {}, {"p": ["t"]}), {}, "valuation of 'p' mentions unknown worlds"),
+            ((["s"], ["i"], {}, {}), {"point": "t"}, "point 't' is not a world"),
+            ((["s", "s"], ["i"], {}, {}), {}, "duplicate world names"),
+            ((["s"], ["i", "i"], {}, {}), {}, "duplicate agent names"),
+            # two faults: the checks run in the order worlds, agents, relations,
+            # edges, valuation, point
+            ((["s", "s"], ["i", "i"], {}, {}), {}, "duplicate world names"),
+            ((["s"], ["i", "i"], {"j": []}, {}), {}, "duplicate agent names"),
+            ((["s"], ["i"], {"i": [("s", "t")], "j": []}, {}), {},
+             "relation for undeclared agent 'j'"),
+            ((["s"], ["i"], {"i": [("s", "t")]}, {"p": ["t"]}), {},
+             "edge ('s', 't') mentions an unknown world"),
+            ((["s"], ["i"], {}, {"p": ["t"]}), {"point": "t"},
+             "valuation of 'p' mentions unknown worlds")):
+        with pytest.raises(ModelError) as info:
+            KripkeModel(*args, **kwargs)
+        assert str(info.value) == text, args
 
 
 def test_json_round_trip():
@@ -272,18 +282,72 @@ def test_enumerated_class_model_counts():
 
 def test_model_document_schema(tmp_path):
     good = m1().to_dict()
-    for bad in ({**good, "worlds": "st"},
-                {**good, "rel": {"i": [["s", "t", "s"]]}},
-                {**good, "worlds": [["s"], "t"]},
-                {**good, "agents": "i"},
-                {**good, "rel": {"i": [["s", 1]]}},
-                {**good, "rel": []},
-                {**good, "val": {"p": "s"}},
-                {**good, "point": ["s"]},
-                ["s", "t"]):
-        with pytest.raises(ModelError):
+    shape = "malformed model document: "
+    rel_shape = shape + "rel must map each agent to a list of [source, target] world pairs"
+    for bad, text in (
+            ({**good, "worlds": "st"}, shape + "worlds must be a list of strings"),
+            ({**good, "rel": {"i": [["s", "t", "s"]]}}, rel_shape),
+            ({**good, "worlds": [["s"], "t"]}, shape + "worlds must be a list of strings"),
+            ({**good, "agents": "i"}, shape + "agents must be a list of strings"),
+            ({**good, "rel": {"i": [["s", 1]]}}, rel_shape),
+            ({**good, "rel": []}, rel_shape),
+            ({**good, "val": {"p": "s"}}, shape + "val must map each proposition to a list of worlds"),
+            ({**good, "point": ["s"]}, shape + "point must be a world"),
+            (["s", "t"], shape + "not an object"),
+            ({"agents": ["i"]}, shape + "'worlds'"),
+            ({"worlds": ["s"]}, shape + "'agents'"),
+            # two faults: every shape check of the document comes before the
+            # checks of the model it describes
+            ({**good, "val": {"p": "s"}, "rel": {"i": [["s", "u"]]}},
+             shape + "val must map each proposition to a list of worlds"),
+            ({**good, "val": {"p": ["u"]}, "rel": {"i": [["s", "u"]]}},
+             "edge ('s', 'u') mentions an unknown world"),
+            ({**good, "rel": {"j": []}, "point": 1}, shape + "point must be a world"),
+            ({**good, "rel": {"j": []}, "point": "u"}, "relation for undeclared agent 'j'"),
+            ({**good, "worlds": [], "rel": {"i": 7}}, rel_shape),
+            ({**good, "worlds": ["s", "s"], "agents": ["j"]}, "duplicate world names")):
+        with pytest.raises(ModelError) as info:
             KripkeModel.from_dict(bad)
+        assert str(info.value) == text, bad
     assert KripkeModel.from_dict(good) == m1()
+
+
+def test_loaded_masks_match_the_edges():
+    """The loader's relation and valuation masks against masks built edge by
+    edge, on documents with duplicate edges, self-loops, an agent without a
+    relation entry and empty valuations."""
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        worlds = [f"w{k}" for k in range(n)]
+        agents = ["i", "j", "k"][:rng.randint(1, 3)]
+        rel = {}
+        for agent in agents:
+            if rng.random() < 0.2:
+                continue
+            edges = [[rng.choice(worlds), rng.choice(worlds)] for _ in range(rng.randint(0, 2 * n))]
+            edges += [[w, w] for w in worlds if rng.random() < 0.3]
+            edges += rng.sample(edges, min(len(edges), 2))
+            rng.shuffle(edges)
+            rel[agent] = edges
+        val = {p: [w for w in worlds if rng.random() < 0.5] for p in ("p", "q")}
+        val["q"] += val["q"][:1]
+        val["r"] = []
+        m = KripkeModel.from_dict({"worlds": worlds, "agents": agents, "rel": rel, "val": val})
+        assert KripkeModel.from_dict(m.to_dict()) == m
+        index = {w: k for k, w in enumerate(worlds)}
+        for agent in agents:
+            succ, pred = [0] * n, [0] * n
+            for s, t in rel.get(agent, []):
+                succ[index[s]] |= 1 << index[t]
+                pred[index[t]] |= 1 << index[s]
+            assert (m._space.succ[agent], m._space.pred[agent]) == (succ, pred)
+            assert m.rel[agent] == {tuple(e) for e in rel.get(agent, [])}
+        masks = {p: 0 for p in val}
+        for p, where in val.items():
+            for w in where:
+                masks[p] |= 1 << index[w]
+        assert m._space.val == masks
 
 
 def test_evaluator_agrees_with_reference():
