@@ -5,9 +5,9 @@ K (PLKwK) and the Kw language with announcements (PLKwA) with the test
 suite's generator, asks sat about each and its negation over the ten frame
 classes at the given budget (so the negations' answers are valid's), and
 prints one SHA-256 digest of every call's verdict, prefix and branch counts,
-model JSON, or exception type and text.  Two checkouts that print the same
-digest gave the same answers with the same work.  Standard library only; run
-from the repository root:
+model as compact JSON, or exception type and text.  Two checkouts that print
+the same digest gave the same answers with the same work.  Standard library
+only; run from the repository root:
 
     PYTHONPATH=src:tests python3 scripts/sat_digest.py [--budget N] [--out FILE]
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import random
 import sys
 
@@ -39,7 +40,7 @@ def record(f, frame_class: FrameClass, budget: int) -> str:
         r = sat(f, frame_class, budget=budget)
     except Exception as exc:  # an exception is an answer to digest too
         return head + f"raises {type(exc).__name__}: {exc}"
-    model = r.model.to_json() if r.model is not None else "-"
+    model = "-" if r.model is None else json.dumps(r.model.to_dict(), separators=(",", ":"))
     return head + f"{r.satisfiable}\t{r.prefixes}\t{r.branches}\t{model}"
 
 

@@ -5,25 +5,34 @@ removes announcements and Kw with it.  An announcement is rewritten by one
 reduction axiom (kwl.translate.step) and the pass goes on with the result,
 so no announcement-free copy is built first.  Kw[i]g becomes K[i]g | K[i]~g
 in general, and top over partial-functional frames, where it holds
-everywhere.  A tableau whose accessibility relations are kept closed
-under the frame conditions of the requested class searches for a model.  A
-satisfiable verdict carries a pointed model that has been re-checked against
-the original formula with the model checker; nothing is returned on faith.
+everywhere.  A tableau then searches for a model; a satisfiable verdict
+carries one, re-checked against the original formula by the model checker.
+
+Each world but the root is made by one diamond of its parent, so the edges
+form a tree, and a box moves along it one edge at a time by single-step
+rules (Massacci, "Single step tableaux for modal logics", JAR 2000): K[a]b
+at w sends b to w's a-children (K), keeps b at w (T), sends K[a]b to the
+a-children (4) and b to w's a-parent (B).  Over euclidean frames u R w gives
+R(u) within R(w), a cluster that its members see, so a world with an
+a-parent, or any world over reflexive frames, lies in its own a-cluster (5):
+b stays at w, and K[a]b goes to w's a-children, a-parent and a-siblings.
+Only extract closes the relation.  Over transitive and euclidean frames a
+world with the formulas of an earlier one is blocked: its diamonds do not
+fire, and in the model it also gets its blocker's successors.
 
 The search backjumps (dependency-directed backtracking).  Every label entry
 carries a mask, an int whose bit n is set when the entry depends on the
 disjunct chosen at the n-th split above it: a conjunct inherits its
-conjunction's mask, a diamond's body the diamond's, a box's body the box's
-together with the edge it fires over, and a disjunct that unit propagation
-forces the disjunction's together with the refuted complement's.  A clash
-returns the union of its two entries' masks.  When a child of the n-th split
-closes by a clash whose mask lacks bit n, the choice made there played no
-part in it, and the whole split closes on the same entries: the right child
-is not tried, and the mask goes up to the nearest split that the clash does
-depend on.  Only subtrees in which every branch closes are skipped, so the first
-open branch, and with it the model, is the one the exhaustive search
-reaches.  The right child gets no complement of the left disjunct (no
-semantic branching): that would change the open branch, and so the model.
+conjunction's mask, a diamond's body the diamond's, what a box sends over
+an edge the box's and the edge's (an edge has its diamond's), and a
+disjunct that unit propagation forces the disjunction's and the refuted
+complement's.  A clash returns the union of its two entries' masks.  When a
+child of the n-th split closes by a clash whose mask lacks bit n, the
+choice made there played no part in it: the right child is not tried, and
+the mask goes up to the nearest split that the clash does depend on.  Only
+subtrees in which every branch closes are skipped, so the first open branch,
+and with it the model, is the one the exhaustive search reaches; the right
+child gets no complement of the left disjunct (no semantic branching).
 """
 
 from __future__ import annotations
@@ -43,14 +52,12 @@ from .formula import (
     Implies,
     K,
     Kw,
-    Language,
     Modal,
     Not,
     Or,
     Prop,
     Top,
     agents_of,
-    classify_language,
     node_class,
     props_of,
 )
@@ -93,50 +100,22 @@ class _Dia(Modal):
 
 
 # ---------------------------------------------------------------------------
-# relation closure
-
-
-# the Horn frame conditions, in the order of _close's flags
-_HORN = (FrameProperty.REFLEXIVE, FrameProperty.SYMMETRIC, FrameProperty.TRANSITIVE,
-         FrameProperty.EUCLIDEAN)
-
-
-def _close(worlds, pairs, reflexive, symmetric, transitive, euclidean) -> set:
-    """Least superset of pairs closed under the Horn frame conditions flagged."""
-    closed = set(pairs)
-    if reflexive:
-        closed |= {(w, w) for w in worlds}
-    while True:
-        new = set()
-        if symmetric:
-            new |= {(t, s) for (s, t) in closed} - closed
-        if transitive:
-            new |= {(s, u) for (s, t) in closed for (t2, u) in closed if t == t2} - closed
-        if euclidean:
-            new |= {(t, u) for (s, t) in closed for (s2, u) in closed if s == s2} - closed
-        if not new:
-            return closed
-        closed |= new
-
-
-# ---------------------------------------------------------------------------
 # branch state
 
 
 class _Branch:
-    # labels, boxes and base map each formula, box body or edge to its mask
-    # (see the module docstring).  They are insertion-ordered, so that
-    # diamonds fire and boxes re-fire in the order the formulas arrived,
-    # whatever the string-hash seed.  The worlds are the keys of labels,
-    # numbered 0, 1, ... in creation order; world 0 is the root.  derived
-    # holds per agent the union of its base edges' masks: the mask of a pair
-    # that only the frame conditions put in the closed relation.
-    __slots__ = ("labels", "base", "derived", "boxes", "fired", "det", "splits")
+    # labels and boxes map each formula to its mask (module docstring), in
+    # arrival order, so that diamonds fire and boxes move in that order
+    # whatever the string-hash seed.  Worlds are the keys of labels, 0, 1, ...
+    # in creation order; 0 is the root.  succ maps (world, agent) to the
+    # world's agent-children and their edges' masks; parent maps (world,
+    # agent) to (parent, mask) when the edge into the world is the agent's.
+    __slots__ = ("labels", "succ", "parent", "boxes", "fired", "det", "splits")
 
     def __init__(self):
         self.labels: dict[int, dict] = {}
-        self.base: dict[str, dict] = {}
-        self.derived: dict[str, int] = {}
+        self.succ: dict[tuple, dict] = {}
+        self.parent: dict[tuple, tuple] = {}
         self.boxes: dict[tuple, dict] = {}
         self.fired: set = set()
         self.det: deque = deque()
@@ -145,37 +124,28 @@ class _Branch:
     def copy(self) -> "_Branch":
         br = _Branch.__new__(_Branch)
         br.labels = {w: dict(s) for w, s in self.labels.items()}
-        br.base = {a: dict(p) for a, p in self.base.items()}
-        br.derived = dict(self.derived)
+        br.succ = {k: dict(s) for k, s in self.succ.items()}
+        br.parent = dict(self.parent)
         br.boxes = {k: dict(s) for k, s in self.boxes.items()}
         br.fired = set(self.fired)
         br.det = deque(self.det)
         br.splits = list(self.splits)
         return br
 
-    def edge_mask(self, agent, pair) -> int:
-        mask = self.base.get(agent, {}).get(pair)
-        return self.derived.get(agent, 0) if mask is None else mask
-
-
-def _rep(br, w) -> int:
-    """The first world whose label has w's formulas: w itself unless w is blocked."""
-    own = br.labels[w].keys()
-    return next(u for u in br.labels if br.labels[u].keys() == own)
-
 
 class _Tableau:
     """One call's search.  work is counted against the budget, preprocessing
     included: one tick per new world, label entry and NNF memo entry."""
 
-    def __init__(self, props, agents, budget, pf):
+    def __init__(self, props, agents, budget):
         self.agents = agents
         self.budget = budget
-        self.pf = pf
-        # the frame conditions, worked out once: _close runs on every new edge
-        self.horn = tuple(p in props for p in _HORN)
+        self.pf = FrameProperty.PARTIAL_FUNCTIONAL in props
+        self.reflexive = FrameProperty.REFLEXIVE in props
+        self.symmetric = FrameProperty.SYMMETRIC in props
+        self.transitive = FrameProperty.TRANSITIVE in props
+        self.euclidean = FrameProperty.EUCLIDEAN in props
         self.serial = FrameProperty.SERIAL in props
-        self.blocking = bool(props & {FrameProperty.TRANSITIVE, FrameProperty.EUCLIDEAN})
         self.prefixes = 0
         self.branches = 0
         self.work = 0
@@ -239,8 +209,12 @@ class _Tableau:
         self.nnf_memo[key] = out
         return out
 
-    def _closed_rel(self, br, agent):
-        return _close(br.labels, br.base.get(agent, ()), *self.horn)
+    def _blocker(self, br, w) -> int:
+        """The first world with w's formulas over transitive and euclidean frames, else w."""
+        if not (self.transitive or self.euclidean):
+            return w
+        own = br.labels[w].keys()
+        return next(u for u in br.labels if br.labels[u].keys() == own)
 
     def _new_world(self, br) -> int:
         w = len(br.labels)
@@ -256,14 +230,43 @@ class _Tableau:
         br.labels[w][f] = mask
         br.det.append((w, f))
 
+    def _move_box(self, br, w, box, mask):
+        """Send the box K[a]b at w one step along w's a-edges (module docstring)."""
+        agent = box.agent
+        up = br.parent.get((w, agent))
+        if self.reflexive or (self.euclidean and up is not None):
+            self._add(br, w, box.sub, mask)
+        for v, edge in br.succ.get((w, agent), {}).items():
+            self._cross(br, w, v, box, mask | edge)
+        if up is None:
+            return
+        u, edge = up
+        if self.symmetric:
+            self._add(br, u, box.sub, mask | edge)
+        if self.euclidean:
+            # R(u) lies within R(w), and a sibling in w's cluster gets b by its own rules
+            self._add(br, u, box, mask | edge)
+            for s, edge in br.succ[(u, agent)].items():
+                self._add(br, s, box, mask | edge)
+
+    def _cross(self, br, u, v, box, mask):
+        """Send a box at u over the edge u -> v: its body (K), and itself over
+        transitive frames (4) or, from u's own cluster, euclidean ones (5)."""
+        self._add(br, v, box.sub, mask)
+        if self.transitive or (self.euclidean and (self.reflexive or (u, box.agent) in br.parent)):
+            self._add(br, v, box, mask)
+
     def _add_edge(self, br, agent, u, v, mask):
-        br.base.setdefault(agent, {})[(u, v)] = mask
-        br.derived[agent] = br.derived.get(agent, 0) | mask
-        # boxes re-fire over the whole closed relation; _add deduplicates
-        closed = self._closed_rel(br, agent)
-        for (x, y) in closed:
-            for body, mask in br.boxes.get((x, agent), {}).items():
-                self._add(br, y, body, mask | br.edge_mask(agent, (x, y)))
+        """Add the edge u -> v and send v the boxes that it lets reach v: u's,
+        and over euclidean frames those of v's siblings."""
+        br.succ.setdefault((u, agent), {})[v] = mask
+        br.parent[(v, agent)] = (u, mask)
+        for box, m in br.boxes.get((u, agent), {}).items():
+            self._cross(br, u, v, box, m | mask)
+        if self.euclidean:
+            for s in br.succ[(u, agent)]:  # v itself has no boxes yet
+                for box, m in br.boxes.get((s, agent), {}).items():
+                    self._add(br, v, box, m | mask)
 
     def _saturate(self, br) -> Optional[int]:
         """Apply the deterministic rules; the mask of a clash, or None."""
@@ -274,8 +277,6 @@ class _Tableau:
             match f:
                 case Bot():
                     return mask
-                case Top():
-                    pass
                 case Prop(_):
                     other = labs.get(Not(f))
                     if other is not None:
@@ -289,13 +290,9 @@ class _Tableau:
                     self._add(br, w, b, mask)
                 case Or(_, _):
                     br.splits.append((w, f))
-                case K(agent, body):
-                    br.boxes.setdefault((w, agent), {})[body] = mask
-                    for (x, y) in self._closed_rel(br, agent):
-                        if x == w:
-                            self._add(br, y, body, mask | br.edge_mask(agent, (x, y)))
-                case _Dia(_, _):
-                    pass
+                case K(agent, _):
+                    br.boxes.setdefault((w, agent), {})[f] = mask
+                    self._move_box(br, w, f, mask)
         return None
 
     def _fire_one(self, br) -> bool:
@@ -304,9 +301,7 @@ class _Tableau:
         for w in br.labels:
             dias = [f for f in br.labels[w]
                     if isinstance(f, _Dia) and (w, f) not in br.fired]
-            if not dias:
-                continue
-            if self.blocking and _rep(br, w) != w:
+            if not dias or self._blocker(br, w) != w:
                 continue
             # the order in which box and diamond bodies reach the successor's
             # label orders its splits, and so the search and the model
@@ -315,8 +310,8 @@ class _Tableau:
                 # agent's diamonds fire into it, after its boxes
                 agent = min(f.agent for f in dias)
                 fire = [f for f in dias if f.agent == agent]
-                succ = [y for (x, y) in br.base.get(agent, ()) if x == w]
-                v = succ[0] if succ else self._new_world(br)
+                succ = br.succ.get((w, agent))
+                v = next(iter(succ)) if succ else self._new_world(br)
                 if not succ:
                     self._add_edge(br, agent, w, v, br.labels[w][fire[0]])
             else:
@@ -331,32 +326,27 @@ class _Tableau:
         if self.serial:
             for w in br.labels:
                 for agent in self.agents:
-                    if not br.boxes.get((w, agent)):
-                        continue
-                    if any(x == w for (x, _) in self._closed_rel(br, agent)):
-                        continue
-                    v = self._new_world(br)
-                    self._add_edge(br, agent, w, v, 0)
-                    return True
+                    if br.boxes.get((w, agent)) and not br.succ.get((w, agent)):
+                        self._add_edge(br, agent, w, self._new_world(br), 0)
+                        return True
         return False
 
     def _resolve_splits(self, br) -> Optional[int]:
-        """Discharge pending disjunctions that need no branching.
-
-        A split whose disjunct is already on the label is satisfied and
-        dropped; one refuted disjunct forces the other (unit propagation);
-        two refuted disjuncts close the branch.  Returns the mask of that
-        clash, or None; what is propagated waits in br.det.
+        """Discharge pending disjunctions that need no branching; the mask of
+        a clash, or None.  Two refuted disjuncts close the branch even when
+        one is on the label (a sibling's box can bring it early).  Otherwise
+        a disjunct on the label drops the split, and one refuted disjunct
+        forces the other (unit propagation) through br.det.
         """
         pending = []
         for w, f in br.splits:
             labs = br.labels[w]
-            if f.left in labs or f.right in labs:
-                continue
             left_out = labs.get(self.nnf(f.left, True))
             right_out = labs.get(self.nnf(f.right, True))
             if left_out is not None and right_out is not None:
                 return labs[f] | left_out | right_out
+            if f.left in labs or f.right in labs:
+                continue
             if left_out is not None:
                 self._add(br, w, f.right, labs[f] | left_out)
             elif right_out is not None:
@@ -403,27 +393,39 @@ class _Tableau:
         return self.search(br)
 
     def extract(self, br, original: Formula, requirements) -> KripkeModel:
-        rep = {w: _rep(br, w) if self.blocking else w for w in br.labels}
-        keep = [w for w in br.labels if rep[w] == w]
-        name = {w: f"w{idx}" for idx, w in enumerate(keep)}
         rel = {}
         for agent in self.agents:
-            pairs = {(rep[x], rep[y]) for (x, y) in br.base.get(agent, ())}
-            closed = _close(keep, pairs, *self.horn)
-            if self.serial:
-                for w in keep:
-                    if not any(x == w for (x, _) in closed):
-                        closed.add((w, w))
-            rel[agent] = [(name[x], name[y]) for (x, y) in sorted(closed)]
-        val = {p: [name[w] for w in keep if Prop(p) in br.labels[w]]
+            # a blocked world keeps its own successors and borrows its blocker's
+            pairs = {(w, v) for w in br.labels for x in {w, self._blocker(br, w)}
+                     for v in br.succ.get((x, agent), ())}
+            closed = self._close(br.labels, pairs)
+            rel[agent] = [(f"w{x}", f"w{y}") for (x, y) in sorted(closed)]
+        val = {p: [f"w{w}" for w in br.labels if Prop(p) in br.labels[w]]
                for p in sorted(props_of(original))}
-        point = name[rep[0]]
-        model = KripkeModel([name[w] for w in keep], self.agents, rel, val, point=point)
-        if not mc(model, point, original):
+        model = KripkeModel([f"w{w}" for w in br.labels], self.agents, rel, val, point="w0")
+        if not mc(model, "w0", original):
             raise RuntimeError(f"extracted model fails {original}")
         if not requirements <= frame_properties(model):
             raise RuntimeError("extracted model leaves the frame class")
         return model
+
+    def _close(self, worlds, pairs) -> set:
+        """Least closure of pairs under the Horn frame conditions; serial: dead ends loop."""
+        closed = set(pairs)
+        if self.reflexive:
+            closed |= {(w, w) for w in worlds}
+        size = -1
+        while size != len(closed):
+            size = len(closed)
+            if self.symmetric:
+                closed |= {(t, s) for (s, t) in closed}
+            if self.transitive:
+                closed |= {(s, u) for (s, t) in closed for (t2, u) in closed if t == t2}
+            if self.euclidean:
+                closed |= {(t, u) for (s, t) in closed for (s2, u) in closed if s == s2}
+        if self.serial:
+            closed |= {(w, w) for w in worlds if not any(s == w for (s, _) in closed)}
+        return closed
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +434,9 @@ class _Tableau:
 
 def sat(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> DecisionResult:
     """Satisfiability of f over the class; a SAT verdict carries a verified model."""
-    if classify_language(f) == Language.PLKwAK:
-        raise ValueError("announcements together with K are not supported")
     requirements = frame_class.requirements
-    pf = FrameProperty.PARTIAL_FUNCTIONAL in requirements
     agents = sorted(agents_of(f))
-    tab = _Tableau(requirements - {FrameProperty.PARTIAL_FUNCTIONAL}, agents, budget, pf)
+    tab = _Tableau(requirements, agents, budget)
     open_branch = tab.solve(tab.nnf(f, False))
     if isinstance(open_branch, int):
         return DecisionResult(False, None, tab.prefixes, tab.branches)

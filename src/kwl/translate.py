@@ -21,13 +21,11 @@ from .formula import (
     Implies,
     K,
     Kw,
-    Language,
     Not,
     Or,
     Prop,
     Top,
     complexity,
-    in_language,
 )
 
 
@@ -70,13 +68,11 @@ def el_to_kw(f: Formula) -> Formula:
 
 
 def reduce(f: Formula) -> Formula:
-    """Announcement-free equivalent of f; rejects formulas mentioning K.
+    """Announcement-free equivalent of f.
 
     The rewrites copy their subformulas, so the output can be exponentially
     larger than f as a tree, but not as a DAG: each node is reduced and
     weighed once per call, and the nodes are shared."""
-    if not in_language(f, Language.PLKwA):
-        raise ValueError(f"reduce handles the Kw language with announcements, got: {f}")
     memo: dict = {}
     weights: dict = {}
 
@@ -121,6 +117,8 @@ def step(redex: Announce, weights: dict) -> Formula:
                 announced,
                 Or(Kw(agent, Announce(announced, sub)),
                    Kw(agent, Announce(announced, Not(sub)))))
+        case K(agent, sub):
+            out = Implies(announced, K(agent, Announce(announced, sub)))
         case Announce(inner, sub):
             out = Announce(And(announced, Announce(announced, inner)), sub)
         case _:

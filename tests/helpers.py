@@ -187,21 +187,27 @@ def random_formula(rng, depth: int, props=("p", "q"), agents=("i",),
 
 
 def enumerate_class_models(n_max: int, frame_class: FrameClass,
-                           props=("p",), agent="i"):
-    """Every pointed-free model with at most n_max worlds satisfying the class."""
+                           props=("p",), agents=("i",)):
+    """Every pointed-free model with at most n_max worlds satisfying the class.
+
+    Each agent's relation ranges over the relations of the class on the
+    worlds; each frame condition constrains one relation at a time."""
     out = []
     for n in range(1, n_max + 1):
         worlds = [f"w{k}" for k in range(n)]
         pairs = list(itertools.product(worlds, worlds))
+        relations = []
         for rel_bits in range(1 << len(pairs)):
-            rel = {agent: [pairs[j] for j in range(len(pairs)) if rel_bits >> j & 1]}
-            base = KripkeModel(worlds, [agent], rel, {p: [] for p in props})
-            if not satisfies_class(base, frame_class):
-                continue
+            edges = [pairs[j] for j in range(len(pairs)) if rel_bits >> j & 1]
+            frame = KripkeModel(worlds, ["a"], {"a": edges}, {p: [] for p in props})
+            if satisfies_class(frame, frame_class):
+                relations.append(edges)
+        for choice in itertools.product(relations, repeat=len(agents)):
+            rel = dict(zip(agents, choice))
             for val_bits in range(1 << (n * len(props))):
                 val = {p: [worlds[k] for k in range(n) if val_bits >> (pi * n + k) & 1]
                        for pi, p in enumerate(props)}
-                out.append(KripkeModel(worlds, [agent], rel, val))
+                out.append(KripkeModel(worlds, list(agents), rel, val))
     return out
 
 

@@ -249,7 +249,7 @@ def test_criterion_09_oracle_agreement():
     forms = list(enumerate_formulas(["p"], ["i"], Language.PLKw, 5))
     assert len(forms) == 202
     checked = 0
-    for fc in (FrameClass.K, FrameClass.T, FrameClass.K4, FrameClass.S5):
+    for fc in FrameClass:
         models = enumerate_class_models(3, fc)
         for f in forms:
             has_counter = not all(model_valid(m, f) for m in models)

@@ -147,8 +147,8 @@ def test_reduce(capsys):
     assert (code, out) == (0, "p -> q\n")
     code, out, _ = run(capsys, "reduce", "[p][q]r")
     assert (code, out) == (0, "p & (p -> q) -> r\n")
-    code, _, err = run(capsys, "reduce", "[p]K[i]q")
-    assert code == 2
+    code, out, _ = run(capsys, "reduce", "[p]K[i]q")
+    assert (code, out) == (0, "p -> K[i](p -> q)\n")
 
 
 def test_translate(capsys):

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from helpers import ROOT, enumerate_class_models, random_formula, random_model
+from helpers import ROOT, enumerate_class_models, random_formula, random_model, reference_mc
 from kwl.decide import BudgetExceeded, DecisionResult, Validity, _Dia, _Tableau, sat, valid
 from kwl.formula import (
     Announce,
@@ -62,11 +62,22 @@ BATTERY = [
     ("p -> K[i]~K[i]~p", FrameClass.T, False),
     ("K[i]p -> K[i]K[i]p", FrameClass.K4, True),
     ("~K[i]p -> K[i]~K[i]p", FrameClass.K5, True),
+    # a world without a parent is in no cluster: its boxes do not move on;
+    # a world with one is, and they do
+    ("K[i]p -> K[i]K[i]p", FrameClass.K5, False),
+    ("K[i](K[i]p -> K[i]K[i]p)", FrameClass.K5, True),
     ("[p]q <-> (p -> q)", FrameClass.K, True),
     ("p -> [q]p", FrameClass.K, True),
     ("[p]Kw[i]q <-> (p -> Kw[i][p]q | Kw[i][p]~q)", FrameClass.K, True),
     ("~Kw[i]q -> [q]~Kw[i]q", FrameClass.K, False),
     ("[p][q]r <-> [p & [p]q]r", FrameClass.K, True),
+    # announcements together with K: [a]K[i]b reduces to a -> K[i][a]b
+    ("[p]K[i]q <-> (p -> K[i](p -> q))", FrameClass.K, True),
+    ("[p]K[i]p", FrameClass.K, True),
+    ("[p & ~K[i]p]K[i]p", FrameClass.S5, True),
+    ("[p]K[i]q", FrameClass.K, False),
+    ("[~K[i]p]K[i]p", FrameClass.T, False),
+    ("K[i]p & [q]r", FrameClass.S5, False),
 ]
 
 
@@ -183,10 +194,36 @@ def test_preprocessing_shares_copied_subformulas(nodes_built):
 
 
 def test_announcements_with_k_rejected():
-    with pytest.raises(ValueError):
-        sat(parse("[p]K[i]q"), FrameClass.K)
-    with pytest.raises(ValueError):
-        valid(parse("K[i]p & [q]r"), FrameClass.K)
+    # sat and valid once rejected announcements together with K; both now
+    # decide them, with re-checked models
+    r = sat(parse("[p]K[i]q"), FrameClass.K)
+    assert r.satisfiable and satisfies_class(r.model, FrameClass.K)
+    assert reference_mc(r.model, r.model.point, parse("[p]K[i]q"))
+    v = valid(parse("K[i]p & [q]r"), FrameClass.K)
+    assert not v.valid and not reference_mc(v.countermodel, v.countermodel.point, parse("K[i]p & [q]r"))
+
+
+def test_announcements_with_k_agree_with_random_models():
+    # 3,000 calls with two agents; each random model has a relation for both
+    rng = random.Random(73)
+    classes = list(FrameClass)
+    for n in range(1500):
+        f = random_formula(rng, rng.randint(2, 4), agents=("i", "j"), lang=Language.PLKwAK)
+        fc = classes[n % len(classes)]
+        v, r = valid(f, fc), sat(f, fc)
+        if v.valid:
+            for _ in range(10):
+                m = random_model(rng, fc, agents=("i", "j"))
+                assert all(reference_mc(m, w, f) for w in m.worlds), (render(f), fc)
+        else:
+            cm = v.countermodel
+            assert not reference_mc(cm, cm.point, f) and satisfies_class(cm, fc)
+        if r.satisfiable:
+            assert reference_mc(r.model, r.model.point, f) and satisfies_class(r.model, fc)
+        else:
+            for _ in range(10):
+                m = random_model(rng, fc, agents=("i", "j"))
+                assert not any(reference_mc(m, w, f) for w in m.worlds), (render(f), fc)
 
 
 def test_announcement_formulas_reduce_then_decide():
@@ -198,14 +235,20 @@ def test_announcement_formulas_reduce_then_decide():
 
 
 def test_agreement_with_bounded_enumeration():
-    """Full two-way agreement with the brute-force oracle on small inputs."""
-    forms = list(enumerate_formulas(["p"], ["i"], Language.PLKw, 4))
-    for fc in (FrameClass.K, FrameClass.T, FrameClass.K4, FrameClass.S5):
-        models = enumerate_class_models(3, fc)
+    """Two agents, every class: a valid formula holds on every model of at
+    most 2 worlds (3 over S5), and a countermodel is one."""
+    forms = list(enumerate_formulas(["p"], ["i", "j"], Language.PLKw, 4))
+    assert len(forms) == 120
+    for fc in FrameClass:
+        models = enumerate_class_models(3 if fc is FrameClass.S5 else 2, fc, agents=("i", "j"))
         for f in forms:
-            brute = all(model_valid(m, f) for m in models)
             v = valid(f, fc)
-            assert v.valid == brute, (render(f), fc)
+            if v.valid:
+                assert all(model_valid(m, f) for m in models), (render(f), fc)
+            else:
+                cm = v.countermodel
+                assert not reference_mc(cm, cm.point, f), (render(f), fc)
+                assert satisfies_class(cm, fc), (render(f), fc)
 
 
 def test_agreement_with_random_models_multi_prop():
@@ -281,24 +324,25 @@ def test_s5_two_agent_kw_chain():
     assert valid(parse("Kw[j]Kw[i]Kw[j]Kw[j]p"), FrameClass.S5).valid
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="S5 tableau with two agents: the extracted model fails the re-check")
 def test_s5_two_agent_kw_chain_of_five():
     # valid over S5: Kw[i]Kw[i]Kw[j]p is, and necessitation gives the rest
     assert valid(parse("Kw[i]Kw[j]Kw[i]Kw[i]Kw[j]p"), FrameClass.S5).valid
 
 
-# the S5-unsatisfiable chains whose open branch fails the re-check in extract
-_S5_RECHECK_FAILURES = {f"~Kw[{a}]Kw[{b}]Kw[{a}]Kw[{a}]Kw[{b}]{inner}"
-                        for a, b in ("ij", "ji") for inner in ("p", "(p | q)", "(p & ~q)")}
+def test_k45_two_agent_model_is_rechecked():
+    f = parse("~Kw[j](~K[i]q <-> Kw[i]q)")
+    r = sat(f, FrameClass.K45)
+    assert r.satisfiable
+    assert reference_mc(r.model, r.model.point, f) and satisfies_class(r.model, FrameClass.K45)
 
 
 def test_two_agent_kw_chain_sweep():
-    # every chain of length 1 to 5 over three inner formulas, and its
-    # negation, over every class: 3,720 calls, none of which may run out of budget
+    # every chain of length 1 to 6 over three inner formulas, and its
+    # negation, over every class: 7,560 calls, none of which may run out of
+    # budget or fail the re-check of its model
     failures = set()
     for inner in ("p", "p | q", "p & ~q"):
-        for length in range(1, 6):
+        for length in range(1, 7):
             for agents in product("ij", repeat=length):
                 f = parse("".join(f"Kw[{a}]" for a in agents) + f"({inner})")
                 for g in (f, Not(f)):
@@ -307,7 +351,7 @@ def test_two_agent_kw_chain_sweep():
                             sat(g, fc, budget=50_000)
                         except RuntimeError:
                             failures.add((fc, render(g)))
-    assert failures == {(FrameClass.S5, text) for text in _S5_RECHECK_FAILURES}
+    assert failures == set()
 
 
 def test_backjumping_skips_splits_a_clash_does_not_use():
@@ -347,7 +391,7 @@ def nnf_inputs():
 
 def _nnf(f, neg, pf):
     """The negation normal form that one call of sat would build."""
-    return _Tableau(frozenset(), [], 10**6, pf).nnf(f, neg)
+    return _Tableau((FrameClass.PF if pf else FrameClass.K).requirements, [], 10**6).nnf(f, neg)
 
 
 def _undia(f):
@@ -453,19 +497,23 @@ WORK_PINS = [
         '{"worlds":["w0","w1","w2"],"agents":["i","j"],"rel":{"i":[["w0","w1"]],'
         '"j":[["w0","w2"]]},"val":{"p":["w1"],"q":[],"r":["w1"],"s":["w2"]},"point":"w0"}',
         id="two-agents-PF"),
-    # blocking: the open branches have 7 worlds, the models 3 and 5
+    # blocking: over S5 worlds 3 and 5 are blocked by world 1, and 4 and 6 by
+    # world 2; over K45 worlds 5 and 6 by worlds 3 and 4.  A blocked world
+    # stays in the model and is also given its blocker's successors, so each
+    # model has its open branch's 7 worlds
     pytest.param(
         valid, parse("~K[i]~Kw[i]q"), FrameClass.S5, 7, 1,
-        '{"worlds":["w0","w1","w2"],"agents":["i"],"rel":{"i":[["w0","w0"],["w0","w1"],'
-        '["w0","w2"],["w1","w0"],["w1","w1"],["w1","w2"],["w2","w0"],["w2","w1"],'
-        '["w2","w2"]]},"val":{"q":["w2"]},"point":"w0"}',
+        json.dumps({"worlds": [f"w{n}" for n in range(7)], "agents": ["i"],
+                    "rel": {"i": [[f"w{s}", f"w{t}"] for s in range(7) for t in range(7)]},
+                    "val": {"q": ["w2", "w4", "w6"]}, "point": "w0"}),
         id="blocking-S5"),
     pytest.param(
         valid, parse("Kw[i]Kw[j]p | Kw[j]p"), FrameClass.K45, 7, 1,
-        '{"worlds":["w0","w1","w2","w3","w4"],"agents":["i","j"],"rel":{"i":[["w0","w1"],'
-        '["w0","w2"],["w1","w1"],["w1","w2"],["w2","w1"],["w2","w2"]],"j":[["w0","w3"],'
-        '["w0","w4"],["w1","w3"],["w1","w4"],["w3","w3"],["w3","w4"],["w4","w3"],'
-        '["w4","w4"]]},"val":{"p":["w4"]},"point":"w0"}',
+        '{"worlds":["w0","w1","w2","w3","w4","w5","w6"],"agents":["i","j"],"rel":{"i":['
+        '["w0","w1"],["w0","w2"],["w1","w1"],["w1","w2"],["w2","w1"],["w2","w2"]],"j":['
+        '["w0","w3"],["w0","w4"],["w1","w5"],["w1","w6"],["w3","w3"],["w3","w4"],'
+        '["w4","w3"],["w4","w4"],["w5","w5"],["w5","w6"],["w6","w5"],["w6","w6"]]},'
+        '"val":{"p":["w4","w6"]},"point":"w0"}',
         id="blocking-K45"),
 ]
 

@@ -96,10 +96,9 @@ def test_reduce_pins():
 
 
 def test_reduce_rejects_k():
-    with pytest.raises(ValueError):
-        reduce(parse("[p]K[i]q"))
-    with pytest.raises(ValueError):
-        reduce(parse("K[i]p"))
+    # reduce once rejected K; it now rewrites [a]K[i]b to a -> K[i][a]b
+    assert render(reduce(parse("[p]K[i]q"))) == "p -> K[i](p -> q)"
+    assert render(reduce(parse("K[i]p"))) == "K[i]p"
 
 
 def test_reduce_output_is_announcement_free():
