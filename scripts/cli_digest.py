@@ -41,7 +41,8 @@ DECIDE_FORMULAS = ("Kw[i]p <-> Kw[i]~p", "Kw[i]p -> Kw[i]Kw[i]p",
                    "Kw[i](p -> q) -> (Kw[i]p -> Kw[i]q)", "Kw[i]p & ~p",
                    "K[i]p -> Kw[j]K[i]p", "[p]Kw[i]q <-> (p -> Kw[i](p -> q) | Kw[i](p -> ~q))",
                    "Kw[i]p & ~Kw[i]p", "K[i]bot", "[p]K[i]q")
-TEXT_FORMULAS = ("[p]q", "[p][q]r", "[p]K[i]q", "Kw[i]p", "K[i]p", "p &", "Kw[i]" * 700 + "p")
+TEXT_FORMULAS = ("[p]q", "[p][q]r", "[p]K[i]q", "Kw[i]p", "K[i]p", "p &", "Kw[i]" * 700 + "p",
+                 "~" * 900 + "Kw[i]p")
 COMMANDS = ("mc", "decide", "sat", "reduce", "translate", "check", "frame", "fixtures")
 
 

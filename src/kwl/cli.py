@@ -2,7 +2,8 @@
 
 Exit codes: 0 true/ok/valid/satisfiable, 1 false/invalid/unsatisfiable or a
 failed derivation step, 2 usage or input errors and internal errors, 3 exhausted
-search budget or a derivation step whose tautology check gave up at its work cap.
+search budget, a derivation step whose tautology check gave up at its work cap,
+or a reduced or translated formula too large to print.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from .decide import BudgetExceeded, sat, valid
 from .fixtures import verify_fixtures
-from .formula import ParseError, parse, render
+from .formula import ParseError, fold, parse, render
 from .proof import DerivationError, StepUndecided, check_derivation, load_derivation
 from .semantics import (
     FrameClass,
@@ -24,6 +25,9 @@ from .semantics import (
     mc,
 )
 from .translate import el_to_kw, kw_to_el, reduce
+
+
+_OUTPUT_CAP = 1 << 23  # the most nodes, as a tree, that kwl reduce and kwl translate print
 
 
 class _UsageError(Exception):
@@ -92,22 +96,21 @@ def cmd_decide(args) -> int:
     return 0 if positive else 1
 
 
-def cmd_reduce(args) -> int:
+def cmd_rewrite(args) -> int:
+    """kwl reduce and kwl translate: print the rewritten formula if it fits the cap."""
     f = _parse_formula(args.formula)
+    rewrite = (reduce if args.command == "reduce"
+               else kw_to_el if args.direction == "t" else el_to_kw)
     try:
-        print(render(reduce(f)))
+        g = rewrite(f)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    return 0
-
-
-def cmd_translate(args) -> int:
-    f = _parse_formula(args.formula)
-    fn = kw_to_el if args.direction == "t" else el_to_kw
-    try:
-        print(render(fn(f)))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    # the size as a tree, counted over the DAG and clipped just past the cap
+    size = fold(g, lambda h, image: min(1 + sum(map(image, h.children())), _OUTPUT_CAP + 1))
+    if size > _OUTPUT_CAP:
+        print(f"kwl: the output has more than {_OUTPUT_CAP} nodes", file=sys.stderr)
+        return 3
+    print(render(g))
     return 0
 
 
@@ -173,12 +176,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="rewrite announcements away")
     p.add_argument("formula")
-    p.set_defaults(fn_name="cmd_reduce")
+    p.set_defaults(fn_name="cmd_rewrite")
 
     p = sub.add_parser("translate", help="translate between Kw and K languages")
     p.add_argument("direction", choices=["t", "tprime"])
     p.add_argument("formula")
-    p.set_defaults(fn_name="cmd_translate")
+    p.set_defaults(fn_name="cmd_rewrite")
 
     p = sub.add_parser("check", help="replay a derivation file")
     p.add_argument("proof")

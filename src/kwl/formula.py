@@ -257,6 +257,41 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         stack += g.children()[::-1]
 
 
+class _Missing(Exception):
+    """fold's signal: the image of the node in args[0] is not known yet."""
+
+
+def fold(f: Formula, rule: Callable) -> object:
+    """The image of f under rule(g, image), computed once per distinct node.
+
+    image(h) gives the image of h, a child of g or a node the rule has built.
+    An image not known yet is computed first and g's rule is run again, so a
+    rule may have no effect but its result or an exception of its own.  Rules
+    that ask for children left to right are entered in the preorder of first
+    occurrence.  Iterative, so any depth is folded whole."""
+    images: dict = {}
+
+    def image(h: Formula):
+        if h in images:
+            return images[h]
+        raise _Missing(h)
+
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        try:
+            images[g] = rule(g, image)
+        except _Missing as missing:
+            stack += g, missing.args[0]
+    return images[f]
+
+
+def substitute(f: Formula, prop: str, replacement: Formula) -> Formula:
+    """Uniform substitution f[replacement/prop]."""
+    target = Prop(prop)
+    return fold(f, lambda g, image: replacement if g is target else g.map(image))
+
+
 # ---------------------------------------------------------------------------
 # language classification
 
@@ -305,30 +340,6 @@ def props_of(f: Formula) -> set[str]:
 
 def agents_of(f: Formula) -> set[str]:
     return {g.agent for g in subformulas(f) if isinstance(g, Modal)}
-
-
-# ---------------------------------------------------------------------------
-# substitution
-
-
-def substitute(f: Formula, prop: str, replacement: Formula) -> Formula:
-    """Uniform substitution f[replacement/prop].
-
-    Memoised on the node for the call, so a subformula that f shares is
-    substituted once and its result shared."""
-    memo: dict = {}
-
-    def walk(g: Formula) -> Formula:
-        out = memo.get(g)
-        if out is None:
-            if isinstance(g, Prop):
-                out = replacement if g.name == prop else g
-            else:
-                out = g.map(walk)
-            memo[g] = out
-        return out
-
-    return walk(f)
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +523,14 @@ def parse(text: str, *, props: Optional[set] = None, agents: Optional[set] = Non
 # ---------------------------------------------------------------------------
 # rendering
 
-def _wrap(f: Formula, limit: int) -> str:
-    s = render(f)
-    if _LEVEL.get(type(f), _UNARY) < limit:
-        return "(" + s + ")"
-    return s
-
-
 def render(f: Formula) -> str:
     """Minimal-parenthesis concrete syntax; parse(render(f)) == f."""
+    return _render(f, 0)
+
+
+def _render(f: Formula, limit: int) -> str:
+    """f as an operand whose enclosing connective sits at level limit: in
+    parentheses when f's own binds looser.  One stack frame per level."""
     match f:
         case Top():
             return "top"
@@ -529,18 +539,19 @@ def render(f: Formula) -> str:
         case Prop(name):
             return name
         case Not(sub):
-            return "~" + _wrap(sub, _UNARY)
+            return "~" + _render(sub, _UNARY)
         case Kw(agent, sub):
-            return f"Kw[{agent}]" + _wrap(sub, _UNARY)
+            return f"Kw[{agent}]" + _render(sub, _UNARY)
         case K(agent, sub):
-            return f"K[{agent}]" + _wrap(sub, _UNARY)
+            return f"K[{agent}]" + _render(sub, _UNARY)
         case Announce(announced, body):
-            return "[" + render(announced) + "]" + _wrap(body, _UNARY)
+            return "[" + _render(announced, 0) + "]" + _render(body, _UNARY)
         case Binary(left=a, right=b):
             level = _LEVEL[type(f)]
             _, symbol, right_assoc = _CONNECTIVES[level]
             # the operand on the associative side may sit at the same level
-            return f"{_wrap(a, level + right_assoc)} {symbol} {_wrap(b, level + 1 - right_assoc)}"
+            s = f"{_render(a, level + right_assoc)} {symbol} {_render(b, level + 1 - right_assoc)}"
+            return "(" + s + ")" if level < limit else s
     raise TypeError(f"not a formula: {f!r}")
 
 

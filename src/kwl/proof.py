@@ -31,6 +31,7 @@ from .formula import (
     Top,
     conj,
     disj,
+    fold,
     in_language,
     parse,
     render,
@@ -142,11 +143,15 @@ def match_axiom(name: str, f: Formula) -> Optional[dict]:
 
 def instantiate(schema: Formula, bindings: dict) -> Formula:
     """Fill a schema's metavariables from bindings (agent under key I)."""
-    if isinstance(schema, Prop) and _is_meta(schema.name):
-        return bindings[schema.name]
-    if isinstance(schema, Modal) and _is_meta(schema.agent):
-        schema = type(schema)(bindings[schema.agent], schema.sub)
-    return schema.map(lambda g: instantiate(g, bindings))
+
+    def rule(g: Formula, image) -> Formula:
+        if isinstance(g, Prop) and _is_meta(g.name):
+            return bindings[g.name]
+        if isinstance(g, Modal) and _is_meta(g.agent):
+            return type(g)(bindings[g.agent], image(g.sub))
+        return g.map(image)
+
+    return fold(schema, rule)
 
 
 # ---------------------------------------------------------------------------

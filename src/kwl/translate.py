@@ -26,41 +26,36 @@ from .formula import (
     Prop,
     Top,
     complexity,
+    fold,
 )
 
 
 def kw_to_el(f: Formula) -> Formula:
-    """Kw[i]g becomes K[i]g' | K[i]~g'; Boolean structure is untouched.
+    """Kw[i]g becomes K[i]g' | K[i]~g'; Boolean structure is untouched."""
 
-    Memoised on the node for the call, as reduce is, so a subformula that
-    reduce shares is checked and expanded once and its expansion shared."""
-    memo: dict = {}
-
-    def expand(g: Formula) -> Formula:
-        out = memo.get(g)
-        if out is not None:
-            return out
+    def rule(g: Formula, image) -> Formula:
         if isinstance(g, (K, Announce)):
             raise ValueError(f"kw_to_el is defined on the Kw language, got: {g}")
         if isinstance(g, Kw):
-            inner = expand(g.sub)
-            out = Or(K(g.agent, inner), K(g.agent, Not(inner)))
-        else:
-            out = g.map(expand)
-        memo[g] = out
-        return out
+            inner = image(g.sub)
+            return Or(K(g.agent, inner), K(g.agent, Not(inner)))
+        return g.map(image)
 
-    return expand(f)
+    return fold(f, rule)
 
 
 def el_to_kw(f: Formula) -> Formula:
     """K[i]g becomes g' & Kw[i]g'; faithful on reflexive models only."""
-    if isinstance(f, K):
-        inner = el_to_kw(f.sub)
-        return And(inner, Kw(f.agent, inner))
-    if isinstance(f, (Kw, Announce)):
-        raise ValueError(f"el_to_kw is defined on the K-only language, got: {f}")
-    return f.map(el_to_kw)
+
+    def rule(g: Formula, image) -> Formula:
+        if isinstance(g, K):
+            inner = image(g.sub)
+            return And(inner, Kw(g.agent, inner))
+        if isinstance(g, (Kw, Announce)):
+            raise ValueError(f"el_to_kw is defined on the K-only language, got: {g}")
+        return g.map(image)
+
+    return fold(f, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -70,28 +65,12 @@ def el_to_kw(f: Formula) -> Formula:
 def reduce(f: Formula) -> Formula:
     """Announcement-free equivalent of f.
 
-    The rewrites copy their subformulas, so the output can be exponentially
-    larger than f as a tree, but not as a DAG: each node is reduced and
-    weighed once per call, and the nodes are shared."""
-    memo: dict = {}
+    An announcement is rewritten by step before its parts are reduced, and
+    the copies step makes of a part are one node, reduced once.  So the output
+    can be exponentially larger than f as a tree, but not as a DAG."""
     weights: dict = {}
-
-    def walk(g: Formula) -> Formula:
-        out = memo.get(g)
-        if out is not None:
-            return out
-        kind = type(g)
-        if kind is Announce:
-            # innermost-first on the announced part, then peel the redex
-            out = walk(step(Announce(walk(g.announced), g.body), weights))
-        elif kind is Prop or kind is Top or kind is Bot:
-            return g  # builds nothing
-        else:
-            out = g.map(walk)
-        memo[g] = out
-        return out
-
-    return walk(f)
+    return fold(f, lambda g, image: (image(step(g, weights)) if type(g) is Announce
+                                     else g.map(image)))
 
 
 def step(redex: Announce, weights: dict) -> Formula:

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +159,26 @@ def test_translate(capsys):
     assert (code, out) == (0, "p & Kw[i]p\n")
     code, _, _ = run(capsys, "translate", "t", "K[i]p")
     assert code == 2
+
+
+def test_rewrites_take_what_parse_accepts(capsys):
+    deep = "~" * 900 + "Kw[i]p"
+    assert run(capsys, "reduce", deep) == (0, deep + "\n", "")
+    assert run(capsys, "translate", "t", deep) == (0, "~" * 900 + "(K[i]p | K[i]~p)\n", "")
+    code, out, err = run(capsys, "translate", "tprime", deep)
+    assert (code, out, err) == (2, "", "kwl: el_to_kw is defined on the K-only language, "
+                                       "got: Kw[i]p\n")
+
+
+def test_rewrites_too_large_to_print_exit_3(capsys):
+    # as trees: 10,485,756, about 2^700, and 37,109,374 nodes
+    nested = "".join(f"[Kw[i]p{k}]" for k in reversed(range(10))) + "Kw[i]q"
+    for argv in (("translate", "t", "Kw[i]" * 21 + "p"), ("translate", "t", "Kw[i]" * 700 + "p"),
+                 ("reduce", nested)):
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv[:2]
+        assert result == (3, "", "kwl: the output has more than 8388608 nodes\n"), argv[:2]
 
 
 def test_check(capsys, tmp_path):
@@ -375,7 +396,8 @@ _BUDGET = st.one_of(st.integers(1, 10**30).map(str), st.integers(-10**30, 0).map
 @given(data=st.data())
 def test_exit_codes_under_fuzzing(data, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
-    command = data.draw(st.sampled_from(["mc", "frame", "decide", "sat", "check", "reduce"]))
+    command = data.draw(st.sampled_from(["mc", "frame", "decide", "sat", "check", "reduce",
+                                         "translate"]))
     if command in ("mc", "frame"):
         model = tmp / "model.json"
         model.write_text(data.draw(_model_text()))
@@ -390,6 +412,8 @@ def test_exit_codes_under_fuzzing(data, tmp_path_factory):
         proof = tmp / "steps.prf"
         proof.write_text(data.draw(_proof_text()))
         argv = [command, str(proof)]
+    elif command == "translate":
+        argv = [command, data.draw(st.sampled_from(["t", "tprime"])), data.draw(_formula_text())]
     else:
         argv = [command, data.draw(_formula_text())]
     out, err = io.StringIO(), io.StringIO()

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import count_formulas, node_count, random_formula
 from kwl import formula
-from kwl.decide import _Dia, valid
+from kwl.decide import _Dia, sat, valid
 from kwl.formula import (
     BOT,
     TOP,
@@ -41,8 +42,9 @@ from kwl.formula import (
     subformulas,
     substitute,
 )
-from kwl.semantics import FrameClass
-from kwl.translate import reduce
+from kwl.proof import Derivation, Step, check_derivation, instantiate, is_bool_taut
+from kwl.semantics import FrameClass, KripkeModel, frame_valid, mc, model_valid
+from kwl.translate import el_to_kw, kw_to_el, reduce
 
 P, Q, R = Prop("p"), Prop("q"), Prop("r")
 
@@ -251,14 +253,78 @@ def test_subformulas_walks_a_dag_once():
     assert classify_language(g) == Language.PLKw
 
 
-def test_deep_formulas_are_walked_without_recursion():
-    f = Kw("i", P)
-    for _ in range(5000):
+def _chain(depth, f):
+    for _ in range(depth):
         f = Not(f)
+    return f
+
+
+def test_deep_formulas_are_walked_without_recursion():
+    f = _chain(5000, Kw("i", P))
     assert props_of(f) == {"p"}
     assert agents_of(f) == {"i"}
     assert in_language(f, Language.PLKw)
     assert classify_language(f) == Language.PLKw
+    # the rewrites fold without recursion too
+    g = _chain(5000, K("i", P))
+    assert substitute(f, "p", Q) == _chain(5000, Kw("i", Q))
+    assert reduce(f) is f
+    assert reduce(_chain(5000, Announce(P, Q))) == _chain(5000, Implies(P, Q))
+    assert kw_to_el(f) == _chain(5000, Or(K("i", P), K("i", Not(P))))
+    assert el_to_kw(g) == _chain(5000, And(P, Kw("i", P)))
+    assert instantiate(_chain(5000, K("I", Prop("A"))), {"A": Q, "I": "j"}) == \
+        _chain(5000, K("j", Q))
+
+
+_M = KripkeModel(["s", "t"], ["i"], {"i": [("s", "t"), ("t", "t")]}, {"p": ["t"]})
+
+# every public function that takes a formula; the rewrites refuse the other language
+_AT_PARSE_DEPTH = {
+    "render": render,
+    "complexity": complexity,
+    "substitute": lambda f: substitute(f, "p", Q),
+    "classify_language": classify_language,
+    "in_language": lambda f: in_language(f, Language.PLKwK),
+    "props_of": props_of,
+    "agents_of": agents_of,
+    "reduce": reduce,
+    "kw_to_el": kw_to_el,
+    "el_to_kw": el_to_kw,
+    "instantiate": lambda f: instantiate(f, {}),
+    "is_bool_taut": is_bool_taut,
+    "sat": lambda f: sat(f, FrameClass.K),
+    "valid": lambda f: valid(f, FrameClass.K),
+    "mc": lambda f: mc(_M, "s", f),
+    "model_valid": lambda f: model_valid(_M, f),
+    "frame_valid": lambda f: frame_valid(_M, f),
+    "check_derivation": lambda f: check_derivation(Derivation("PLKw", (Step(1, f, "taut"),))),
+}
+
+
+def test_every_public_function_takes_what_parse_accepts():
+    for atom, refused in (("Kw[i]p", {"el_to_kw", "check_derivation"}),
+                          ("K[i]p", {"kw_to_el", "check_derivation"})):
+        # parse's limit, found by bisection in this test's own stack
+        lo, hi = 0, sys.getrecursionlimit()
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                parse("~" * mid + atom)
+                lo = mid
+            except RecursionError:
+                hi = mid
+        f = parse("~" * lo + atom)
+        outcomes = {}
+        for name, call in _AT_PARSE_DEPTH.items():
+            try:
+                call(f)
+                outcomes[name] = "answered"
+            except RecursionError:
+                outcomes[name] = "RecursionError"
+            except ValueError:
+                outcomes[name] = "refused"  # outside the function's language
+        assert outcomes == {name: "refused" if name in refused else "answered"
+                            for name in _AT_PARSE_DEPTH}, (atom, lo)
 
 
 def test_equal_formulas_are_one_node():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import kwl.proof
 from helpers import ROOT, abstraction_letters, pigeonhole, random_formula, reference_taut
-from kwl.formula import And, Iff, Implies, Language, Not, Or, Prop, disj, parse, render
+from kwl.formula import And, Iff, Implies, Kw, Language, Not, Or, Prop, disj, parse, render
 from kwl.proof import (
     AXIOMS,
     SYSTEMS,
@@ -102,6 +102,17 @@ def test_instantiate_match_round_trip():
             back = match_axiom(name, inst)
             assert back is not None
             assert instantiate(schema, back) == inst
+
+
+def test_instantiate_fills_each_shared_node_once(nodes_requested):
+    schema = Prop("PHI")
+    for _ in range(18):
+        schema = And(schema, Kw("I", schema))  # 2^18 paths reach PHI
+    phi = parse("p | q")
+    nodes_requested.clear()
+    inst = instantiate(schema, {"PHI": phi, "I": "j"})
+    assert len(nodes_requested) == 36  # one And and one Kw per level
+    assert inst.right == Kw("j", inst.left)
 
 
 def test_is_bool_taut_pins():

@@ -42,6 +42,24 @@ def test_kw_to_el_expands_each_shared_node_once(nodes_requested):
     assert len(nodes_requested) < 200
 
 
+def test_el_to_kw_translates_each_shared_node_once(nodes_requested):
+    # as a tree, the expansion of Kw[i]^18 p has about 2^19 K nodes; as a DAG, 73 nodes
+    g = kw_to_el(parse("Kw[i]" * 18 + "p"))
+    nodes_requested.clear()
+    el_to_kw(g)
+    assert len(nodes_requested) <= 108
+
+
+def test_reduce_work_grows_linearly_with_nested_announcements(nodes_requested):
+    # an innermost-first walk asks for 187, 253, 319 and 385 nodes; the
+    # outermost-first one may ask for a quarter more
+    for n, innermost in ((6, 187), (8, 253), (10, 319), (12, 385)):
+        f = parse("".join(f"[Kw[i]p{k}]" for k in reversed(range(n))) + "Kw[i]q")
+        nodes_requested.clear()
+        reduce(f)
+        assert len(nodes_requested) <= 1.25 * innermost, n
+
+
 def test_el_to_kw_pins():
     assert el_to_kw(parse("K[i]p")) == parse("p & Kw[i]p")
     assert el_to_kw(parse("~K[i]K[j]q")) == parse(
