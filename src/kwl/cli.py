@@ -13,7 +13,6 @@ import functools
 import sys
 
 from .decide import BudgetExceeded, sat, valid
-from .fixtures import verify_fixtures
 from .formula import ParseError, fold, parse, render
 from .proof import DerivationError, StepUndecided, check_derivation, load_derivation
 from .semantics import (
@@ -141,6 +140,8 @@ def cmd_frame(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from .fixtures import verify_fixtures  # here, so that no other command loads the fixtures
+
     for claim in verify_fixtures():
         print(claim)
     print("ok")
@@ -149,10 +150,7 @@ def cmd_fixtures(args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first call of main.  It
-    holds the name of each command's function, not the function: main looks
-    the name up in this module on every call, so a rebinding of a module
-    global (a test's monkeypatch, a tracer) takes effect at the next call."""
+    """The one parser of this process, built on the first call of main."""
     parser = argparse.ArgumentParser(prog="kwl")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -160,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("world")
     p.add_argument("formula")
-    p.set_defaults(fn_name="cmd_mc")
+    p.set_defaults(run=cmd_mc)
 
     for name, model_option in (("decide", "countermodel"), ("sat", "model")):
         p = sub.add_parser(name, help=f"{name} a formula over a frame class")
@@ -172,28 +170,28 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"write the found {model_option} to this file")
         p.add_argument("--budget", type=_budget, default=10**6,
                        help="tableau work budget (default 1000000)")
-        p.set_defaults(fn_name="cmd_decide")
+        p.set_defaults(run=cmd_decide)
 
     p = sub.add_parser("reduce", help="rewrite announcements away")
     p.add_argument("formula")
-    p.set_defaults(fn_name="cmd_rewrite")
+    p.set_defaults(run=cmd_rewrite)
 
     p = sub.add_parser("translate", help="translate between Kw and K languages")
     p.add_argument("direction", choices=["t", "tprime"])
     p.add_argument("formula")
-    p.set_defaults(fn_name="cmd_rewrite")
+    p.set_defaults(run=cmd_rewrite)
 
     p = sub.add_parser("check", help="replay a derivation file")
     p.add_argument("proof")
-    p.set_defaults(fn_name="cmd_check")
+    p.set_defaults(run=cmd_check)
 
     p = sub.add_parser("frame", help="report frame properties of a model")
     p.add_argument("model")
-    p.set_defaults(fn_name="cmd_frame")
+    p.set_defaults(run=cmd_frame)
 
     p = sub.add_parser("fixtures", help="fixture self-tests")
     p.add_argument("action", choices=["verify"])
-    p.set_defaults(fn_name="cmd_fixtures")
+    p.set_defaults(run=cmd_fixtures)
 
     return parser
 
@@ -205,7 +203,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return globals()[args.fn_name](args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"kwl: {exc}", file=sys.stderr)
         return 2

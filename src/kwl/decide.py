@@ -171,6 +171,8 @@ class _Tableau:
         _resolve_splits finds a disjunct's complement here.  A memo miss ticks
         the budget before it recurses, so a blow-up stops after budget misses.
         """
+        while type(f) is Not:  # a ~ flips neg: no stack frame, memo entry or tick
+            f, neg = f.sub, not neg
         key = (f, neg)
         out = self.nnf_memo.get(key)
         if out is not None:
@@ -179,8 +181,6 @@ class _Tableau:
         nnf, t = self.nnf, type(f)
         if t is Prop:
             out = Not(f) if neg else f
-        elif t is Not:
-            out = nnf(f.sub, not neg)
         elif t is And or t is Or:
             op = (Or if t is And else And) if neg else t
             out = op(nnf(f.left, neg), nnf(f.right, neg))

@@ -208,14 +208,15 @@ TOP = Top()
 BOT = Bot()
 
 # the binary connectives, loosest first: (node, symbol, right associative).
-# parse and render both read it; a connective's level is its index.
+# parse and render both read it; a connective's level is its index, which
+# _LEVEL gives by node (render) and by symbol (parse).
 _CONNECTIVES = (
     (Iff, "<->", True),
     (Implies, "->", True),
     (Or, "|", False),
     (And, "&", False),
 )
-_LEVEL = {kind: level for level, (kind, _, _) in enumerate(_CONNECTIVES)}
+_LEVEL = {key: level for level, entry in enumerate(_CONNECTIVES) for key in entry[:2]}
 _UNARY = len(_CONNECTIVES)  # the level of every other node
 
 
@@ -354,16 +355,20 @@ def agents_of(f: Formula) -> set[str]:
 
 def complexity(f: Formula, memo: Optional[dict] = None) -> int:
     """The weight of f.  memo, when given, maps nodes to their weights and is
-    kept across calls; each node is weighed once either way, so shared
-    subformulas cost nothing more."""
+    kept across calls; each node but a ~ is weighed once either way, so
+    shared subformulas cost nothing more.  A run of ~ is counted in one
+    stack frame."""
+    nots = 0
+    while type(f) is Not:
+        f, nots = f.sub, nots + 1
     kind = type(f)
     if kind is Top or kind is Bot or kind is Prop:
-        return 1  # no children() call, which would cost a leaf one more frame
+        return nots + 1  # no children() call, which would cost a leaf one more frame
     if memo is None:
         memo = {}
     weight = memo.get(f)
     if weight is not None:
-        return weight
+        return nots + weight
     if kind is Announce:
         weight = (4 + complexity(f.announced, memo)) * complexity(f.body, memo)
     else:
@@ -375,7 +380,7 @@ def complexity(f: Formula, memo: Optional[dict] = None) -> int:
                 deepest = c
         weight = (2 if isinstance(f, Modal) else 1) + deepest
     memo[f] = weight
-    return weight
+    return nots + weight
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +390,7 @@ _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<op><->|->|[~&|()\[\]])"
     r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<bad>.)"  # any other character; a newline is whitespace
 )
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -406,15 +412,12 @@ class ParseError(ValueError):
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
         if kind != "ws":
-            toks.append((kind, m.group(), pos))
-        pos = m.end()
+            toks.append((kind, m.group(), m.start()))
     toks.append(("eof", "", len(text)))
     return toks
 
@@ -423,7 +426,7 @@ class _Parser:
     """Recursive descent over the token list.
 
     The binary connectives bind as _CONNECTIVES says, then come the unary
-    prefixes ~, Kw[i], K[i] and [f].
+    prefixes ~, Kw[i], K[i] and [f].  A parenthesis costs two stack frames.
     """
 
     def __init__(self, toks, props, agents):
@@ -447,21 +450,15 @@ class _Parser:
                              tok[2], (what,))
         return tok
 
-    def formula(self, level: int = 0) -> Formula:
-        """A formula whose binary connectives bind no looser than _CONNECTIVES[level]."""
-        kind, symbol, right_assoc = _CONNECTIVES[level]
-        # the tightest level calls unary() itself, so that each parenthesis
-        # costs no more stack frames than one per level
-        tightest = level + 1 == _UNARY
-        left = self.unary() if tightest else self.formula(level + 1)
-        if right_assoc:
-            if self.peek()[1] != symbol:
-                return left
+    def formula(self, limit: int = 0) -> Formula:
+        """A formula whose connectives sit at level limit or tighter, by
+        precedence climbing: an operand, then each following connective of
+        such a level with its right operand."""
+        left = self.unary()
+        while (level := _LEVEL.get(self.peek()[1], -1)) >= limit:
             self.next()
-            return kind(left, self.formula(level))
-        while self.peek()[1] == symbol:
-            self.next()
-            left = kind(left, self.unary() if tightest else self.formula(level + 1))
+            kind, _, right_assoc = _CONNECTIVES[level]
+            left = kind(left, self.formula(level + 1 - right_assoc))
         return left
 
     def agent_name(self) -> str:
@@ -530,7 +527,18 @@ def render(f: Formula) -> str:
 
 def _render(f: Formula, limit: int) -> str:
     """f as an operand whose enclosing connective sits at level limit: in
-    parentheses when f's own binds looser.  One stack frame per level."""
+    parentheses when f's own binds looser.  One stack frame per level, and
+    one for a whole run of the prefixes ~, Kw[i], K[i] and [a]."""
+    prefixes = []
+    while isinstance(f, (Not, Kw, K, Announce)):
+        if type(f) is Announce:
+            prefixes.append("[" + _render(f.announced, 0) + "]")
+            f = f.body
+        else:  # the modalities are written with their class names
+            prefixes.append("~" if type(f) is Not else f"{type(f).__name__}[{f.agent}]")
+            f = f.sub
+    if prefixes:
+        return "".join(prefixes) + _render(f, _UNARY)
     match f:
         case Top():
             return "top"
@@ -538,14 +546,6 @@ def _render(f: Formula, limit: int) -> str:
             return "bot"
         case Prop(name):
             return name
-        case Not(sub):
-            return "~" + _render(sub, _UNARY)
-        case Kw(agent, sub):
-            return f"Kw[{agent}]" + _render(sub, _UNARY)
-        case K(agent, sub):
-            return f"K[{agent}]" + _render(sub, _UNARY)
-        case Announce(announced, body):
-            return "[" + _render(announced, 0) + "]" + _render(body, _UNARY)
         case Binary(left=a, right=b):
             level = _LEVEL[type(f)]
             _, symbol, right_assoc = _CONNECTIVES[level]

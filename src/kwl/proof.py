@@ -104,34 +104,28 @@ def _is_meta(name: str) -> bool:
     return name.isupper()
 
 
+def _bind(b: dict, meta: str, value) -> bool:
+    """Bind a metavariable in b, or check the value it is bound to."""
+    return b.setdefault(meta, value) == value
+
+
 def _match(schema: Formula, f: Formula, b: dict) -> bool:
     """Match f against the schema, growing the binding dict b."""
     if isinstance(schema, Prop) and _is_meta(schema.name):
-        name = schema.name
-        if name == "ATOM" and not isinstance(f, Prop):
+        if schema.name == "ATOM" and not isinstance(f, Prop):
             return False
-        if name in b:
-            return b[name] == f
-        b[name] = f
-        return True
+        return _bind(b, schema.name, f)
     if type(schema) is not type(f):
         return False
     if isinstance(schema, Prop):
         return schema.name == f.name
-    if isinstance(schema, Modal) and not _match_agent(schema.agent, f.agent, b):
-        return False
+    if isinstance(schema, Modal):
+        agent = schema.agent
+        if not (_bind(b, agent, f.agent) if _is_meta(agent) else agent == f.agent):
+            return False
     for x, y in zip(schema.children(), f.children()):
         if not _match(x, y, b):
             return False
-    return True
-
-
-def _match_agent(meta: str, actual: str, b: dict) -> bool:
-    if not _is_meta(meta):
-        return meta == actual
-    if meta in b:
-        return b[meta] == actual
-    b[meta] = actual
     return True
 
 

@@ -324,6 +324,10 @@ def _ext(sp: _Space, f: Formula, ws: int, dom: int, memo: dict) -> int:
             memo[key] = (asked | todo, true)
         return ws & true
     if kind is Not:
+        while type(f.sub) is Not:  # ~~g holds where g does
+            f = f.sub.sub
+            if type(f) is not Not:
+                return _ext(sp, f, ws, dom, memo)
         return ws & ~_ext(sp, f.sub, ws, dom, memo)
     if kind is And:
         return _ext(sp, f.right, _ext(sp, f.left, ws, dom, memo), dom, memo)

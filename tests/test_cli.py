@@ -18,6 +18,7 @@ from kwl.cli import main
 from kwl.formula import Language, parse, render
 from kwl.proof import SYSTEMS, format_derivation, gen_prop19
 from kwl.semantics import load_model, mc
+from kwl.translate import el_to_kw
 
 M1 = str(ROOT / "fixtures" / "m1.json")
 F1 = str(ROOT / "fixtures" / "f1.json")
@@ -106,6 +107,8 @@ def test_malformed_model_documents(capsys, tmp_path):
 def test_deep_nesting(capsys):
     code, out, err = run(capsys, "mc", M1, "s", "~" * 3000 + "p")
     assert (code, out, err) == (2, "", "kwl: input too deeply nested\n")
+    # a parenthesis costs the parser two stack frames
+    assert run(capsys, "decide", "(" * 300 + "p" + ")" * 300) == (1, "invalid\n", "")
 
 
 def _broken(*args, **kwargs):
@@ -168,6 +171,21 @@ def test_rewrites_take_what_parse_accepts(capsys):
     code, out, err = run(capsys, "translate", "tprime", deep)
     assert (code, out, err) == (2, "", "kwl: el_to_kw is defined on the K-only language, "
                                        "got: Kw[i]p\n")
+    # el_to_kw adds a level for each K, and the output still prints: the
+    # deepest run of ~ that kwl reduce accepts over K[i]^16 p, found by
+    # bisection in this test's own stack
+    atom = "K[i]" * 16 + "p"
+    lo, hi = 0, sys.getrecursionlimit()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if run(capsys, "reduce", "~" * mid + atom)[0] == 0:
+            lo = mid
+        else:
+            hi = mid
+    assert lo > 900
+    text = "~" * lo + atom
+    assert run(capsys, "translate", "tprime", text) == \
+        (0, render(el_to_kw(parse(text))) + "\n", "")
 
 
 def test_rewrites_too_large_to_print_exit_3(capsys):
@@ -308,12 +326,12 @@ def test_import_builds_no_parser():
              "init = argparse.ArgumentParser.__init__\n"
              "argparse.ArgumentParser.__init__ = "
              "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
-             "import kwl.cli\n"
-             "print(len(built))\n")
+             "import kwl.cli, sys\n"
+             "print(len(built), 'kwl.fixtures' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "0\n"
+    assert out == "0 False\n"
 
 
 def test_all_corpus_files_check_via_cli(capsys):

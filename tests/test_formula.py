@@ -274,6 +274,14 @@ def test_deep_formulas_are_walked_without_recursion():
     assert el_to_kw(g) == _chain(5000, And(P, Kw("i", P)))
     assert instantiate(_chain(5000, K("I", Prop("A"))), {"A": Q, "I": "j"}) == \
         _chain(5000, K("j", Q))
+    # and a run of ~ takes one stack frame in the tableau, the evaluator,
+    # render and complexity
+    assert sat(f, FrameClass.K).satisfiable
+    assert not valid(f, FrameClass.K).valid
+    assert mc(_M, "s", f) and model_valid(_M, f) and frame_valid(_M, f)
+    assert not mc(_M, "s", Not(f))
+    assert render(f) == "~" * 5000 + "Kw[i]p"
+    assert complexity(f) == 5000 + complexity(Kw("i", P))
 
 
 _M = KripkeModel(["s", "t"], ["i"], {"i": [("s", "t"), ("t", "t")]}, {"p": ["t"]})
@@ -385,7 +393,7 @@ def test_the_intern_table_pins_nothing():
 
 
 def test_parser_and_complexity_depth():
-    # one frame per precedence level for each parenthesis, and one per node
+    # two stack frames a parenthesis; a run of ~ is weighed in one
     assert parse("(" * 180 + "p" + ")" * 180) == P
     deep = parse("~" * 700 + "p")
     assert complexity(deep) == 701

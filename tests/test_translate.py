@@ -5,9 +5,22 @@ import random
 import pytest
 
 from helpers import random_formula, random_model
-from kwl.formula import Announce, Language, classify_language, complexity, parse, render
+from kwl.formula import (
+    And,
+    Announce,
+    Iff,
+    Kw,
+    Language,
+    Not,
+    Prop,
+    classify_language,
+    complexity,
+    parse,
+    render,
+)
+from kwl.proof import match_axiom
 from kwl.semantics import FrameClass, KripkeModel, mc
-from kwl.translate import el_to_kw, kw_to_el, reduce
+from kwl.translate import el_to_kw, kw_to_el, reduce, step
 
 
 def has_announcement(f):
@@ -140,6 +153,20 @@ def test_reduce_preserves_truth_everywhere():
             m = random_model(rng, FrameClass.K)
             for w in m.worlds:
                 assert mc(m, w, f) == mc(m, w, g), (render(f), w)
+
+
+def test_step_is_the_reduction_axioms():
+    # the rewrite of each body shape that the proof system's axioms cover is
+    # an instance of that axiom, and of no other
+    axioms = {Prop: "!ATOM", Not: "!NEG", And: "!COM", Announce: "!!", Kw: "!Kw"}
+    rng = random.Random(47)
+    for _ in range(200):
+        a, c, d = (random_formula(rng, 3, lang=Language.PLKwA) for _ in range(3))
+        for body in (Prop(rng.choice("pq")), Not(c), And(c, d), Announce(c, d), Kw("i", c)):
+            redex = Announce(a, body)
+            matched = {name for name in axioms.values()
+                       if match_axiom(name, Iff(redex, step(redex, {}))) is not None}
+            assert matched == {axioms[type(body)]}, render(redex)
 
 
 def test_nested_announcement_pin():
