@@ -65,7 +65,7 @@ from .semantics import (
     FrameClass,
     FrameProperty,
     KripkeModel,
-    frame_properties,
+    _has_properties,
     mc,
 )
 from .translate import step
@@ -405,7 +405,7 @@ class _Tableau:
         model = KripkeModel([f"w{w}" for w in br.labels], self.agents, rel, val, point="w0")
         if not mc(model, "w0", original):
             raise RuntimeError(f"extracted model fails {original}")
-        if not requirements <= frame_properties(model):
+        if not _has_properties(model, requirements):
             raise RuntimeError("extracted model leaves the frame class")
         return model
 

@@ -48,14 +48,16 @@ class Formula:
     Building a node whose class and fields equal those of a live node returns
     that node, so equal formulas are the same object, and == and hash are
     those of object: identity, in constant time at any depth.  A node's
-    fields are its dataclass fields, in order (__match_args__).
+    fields are its dataclass fields, in order (__match_args__).  The private
+    slot _ops holds the node's operator summary (_summary); it stays unset
+    until the first language query on a formula that holds the node.
 
     children() lists a node's immediate subformulas, left to right, and
     map(fn) returns the same node with fn applied to each of them.  Leaves
     have no children and map to themselves.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_ops")
 
     def __new__(cls, *fields, **named):
         if named:
@@ -316,12 +318,40 @@ _ALLOWED = {
 }
 
 
-def _operators(f: Formula) -> set:
-    return {type(g) for g in subformulas(f) if isinstance(g, (Kw, K, Announce))}
+# one bit per operator that a language may leave out
+_BIT = {Kw: 1, K: 2, Announce: 4}
+# the operators outside each language, as a mask of those bits
+_OUTSIDE = {lang: ~sum(_BIT[op] for op in ops) for lang, ops in _ALLOWED.items()}
+
+
+def _fill(g: Formula, image) -> int:
+    # a child summarised before, by this pass or an earlier query, is read
+    # from its slot; fold enters only the others
+    ops = _BIT.get(type(g), 0)
+    for h in g.children():
+        try:
+            ops |= h._ops
+        except AttributeError:
+            ops |= image(h)
+    _set(g, "_ops", ops)
+    return ops
+
+
+def _summary(f: Formula) -> int:
+    """The _BIT mask of the operators that occur in f.  Filled on the first
+    query by one fold over the nodes not summarised yet, then read from
+    f's slot."""
+    try:
+        return f._ops
+    except AttributeError:
+        return fold(f, _fill)
 
 
 def in_language(f: Formula, lang: Language) -> bool:
-    return _operators(f) <= _ALLOWED[lang]
+    """Whether every operator of f is one that lang admits.  Reads f's
+    operator summary, which is filled once per node, so a query costs O(1)
+    on a formula queried before and one visit per new node otherwise."""
+    return not _summary(f) & _OUTSIDE[lang]
 
 
 def classify_language(f: Formula) -> Language:
@@ -331,8 +361,8 @@ def classify_language(f: Formula) -> Language:
     A purely Boolean formula sits in both EL and PLKw; EL is returned as the
     canonical answer for that corner.
     """
-    ops = _operators(f)
-    return next(lang for lang in Language if ops <= _ALLOWED[lang])
+    ops = _summary(f)
+    return next(lang for lang in Language if not ops & _OUTSIDE[lang])
 
 
 def props_of(f: Formula) -> set[str]:
@@ -553,38 +583,3 @@ def _render(f: Formula, limit: int) -> str:
             s = f"{_render(a, level + right_assoc)} {symbol} {_render(b, level + 1 - right_assoc)}"
             return "(" + s + ")" if level < limit else s
     raise TypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-
-def enumerate_formulas(props: Sequence[str], agents: Sequence[str],
-                       lang: Language, max_size: int) -> Iterator[Formula]:
-    """All core-connective formulas (top, p, ~, &, modalities, and for the
-    announcement languages [f]g) with at most max_size AST nodes, smallest
-    first.  Every tree is produced exactly once."""
-    modals = [m for m in (Kw, K) if m in _ALLOWED[lang]]
-    announcements = Announce in _ALLOWED[lang]
-    by_size: list[list[Formula]] = [[]]  # index 0 unused
-
-    for size in range(1, max_size + 1):
-        layer: list[Formula] = []
-        if size == 1:
-            layer.append(TOP)
-            layer.extend(Prop(p) for p in props)
-        else:
-            for sub in by_size[size - 1]:
-                layer.append(Not(sub))
-            for mod in modals:
-                for agent in agents:
-                    for sub in by_size[size - 1]:
-                        layer.append(mod(agent, sub))
-            for left_size in range(1, size - 1):
-                right_size = size - 1 - left_size
-                for a in by_size[left_size]:
-                    for b in by_size[right_size]:
-                        layer.append(And(a, b))
-                        if announcements:
-                            layer.append(Announce(a, b))
-        by_size.append(layer)
-        yield from layer

@@ -399,24 +399,33 @@ def frame_valid(model: KripkeModel, f: Formula) -> bool:
 # frame properties
 
 
+# each property's test of one agent's relation, as successor and predecessor
+# masks per world
+_PROPERTY_TESTS = {
+    FrameProperty.SERIAL: lambda sp, succ, pred: all(succ),
+    FrameProperty.REFLEXIVE: lambda sp, succ, pred: all(m >> k & 1 for k, m in enumerate(succ)),
+    FrameProperty.SYMMETRIC: lambda sp, succ, pred: succ == pred,
+    # sRt and tRu imply sRu
+    FrameProperty.TRANSITIVE: lambda sp, succ, pred: all(not sp.image(succ, m) & ~m for m in succ),
+    # sRt and sRu imply tRu
+    FrameProperty.EUCLIDEAN: lambda sp, succ, pred: all(
+        not sp.image(succ, p) & ~m for m, p in zip(succ, pred)),
+    FrameProperty.PARTIAL_FUNCTIONAL: lambda sp, succ, pred: all(not m & (m - 1) for m in succ),
+}
+
+
+def _has_properties(model: KripkeModel, properties) -> bool:
+    """Whether every agent's relation has each of the properties; only those
+    are tested."""
+    sp = model._space
+    return all(_PROPERTY_TESTS[p](sp, sp.succ[a], sp.pred[a])
+               for p in properties for a in model.agents)
+
+
 def frame_properties(model: KripkeModel) -> set[FrameProperty]:
     """Properties holding for every agent's relation."""
-    sp = model._space
-    tests = {
-        FrameProperty.SERIAL: lambda succ, pred: all(succ),
-        FrameProperty.REFLEXIVE: lambda succ, pred: all(m >> k & 1 for k, m in enumerate(succ)),
-        FrameProperty.SYMMETRIC: lambda succ, pred: succ == pred,
-        # sRt and tRu imply sRu
-        FrameProperty.TRANSITIVE: lambda succ, pred: all(
-            not sp.image(succ, m) & ~m for m in succ),
-        # sRt and sRu imply tRu
-        FrameProperty.EUCLIDEAN: lambda succ, pred: all(
-            not sp.image(succ, p) & ~m for m, p in zip(succ, pred)),
-        FrameProperty.PARTIAL_FUNCTIONAL: lambda succ, pred: all(not m & (m - 1) for m in succ),
-    }
-    return {p for p, holds in tests.items()
-            if all(holds(sp.succ[a], sp.pred[a]) for a in model.agents)}
+    return {p for p in FrameProperty if _has_properties(model, (p,))}
 
 
 def satisfies_class(model: KripkeModel, frame_class: FrameClass) -> bool:
-    return frame_class.requirements <= frame_properties(model)
+    return _has_properties(model, frame_class.requirements)

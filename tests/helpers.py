@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import pathlib
+from typing import Iterator, Sequence
 
 from kwl.formula import (
     BOT,
@@ -23,7 +24,9 @@ from kwl.formula import (
     Top,
     conj,
     disj,
+    in_language,
     props_of,
+    subformulas,
 )
 from kwl.semantics import FrameClass, FrameProperty, KripkeModel, satisfies_class
 
@@ -86,6 +89,44 @@ def pigeonhole(holes: int) -> Formula:
     shared = disj([And(at(i, j), at(k, j))
                    for j in range(holes) for i in pigeons for k in pigeons if i < k])
     return Implies(placed, shared)
+
+
+def enumerate_formulas(props: Sequence[str], agents: Sequence[str],
+                       lang: Language, max_size: int) -> Iterator[Formula]:
+    """All core-connective formulas (top, p, ~, &, modalities, and for the
+    announcement languages [f]g) of lang with at most max_size AST nodes,
+    smallest first.  Every tree is produced exactly once."""
+    modals = [m for m in (Kw, K) if in_language(m("i", TOP), lang)]
+    announcements = in_language(Announce(TOP, TOP), lang)
+    by_size: list[list[Formula]] = [[]]  # index 0 unused
+
+    for size in range(1, max_size + 1):
+        layer: list[Formula] = []
+        if size == 1:
+            layer.append(TOP)
+            layer.extend(Prop(p) for p in props)
+        else:
+            for sub in by_size[size - 1]:
+                layer.append(Not(sub))
+            for mod in modals:
+                for agent in agents:
+                    for sub in by_size[size - 1]:
+                        layer.append(mod(agent, sub))
+            for left_size in range(1, size - 1):
+                right_size = size - 1 - left_size
+                for a in by_size[left_size]:
+                    for b in by_size[right_size]:
+                        layer.append(And(a, b))
+                        if announcements:
+                            layer.append(Announce(a, b))
+        by_size.append(layer)
+        yield from layer
+
+
+def reference_operators(f: Formula) -> set:
+    """The operator classes among Kw, K and Announce that occur in f, by a
+    walk over every node: the referee for formula's per-node summaries."""
+    return {type(g) for g in subformulas(f) if isinstance(g, (Kw, K, Announce))}
 
 
 def node_count(f: Formula) -> int:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from helpers import ROOT, enumerate_class_models, random_formula, random_model
+from helpers import ROOT, enumerate_class_models, enumerate_formulas, random_formula, random_model
 from kwl.decide import valid
 from kwl.fixtures import G4_INSTANCE, announce, f1, f2, g4, m1, m27, n28
 from kwl.formula import (
@@ -21,7 +21,6 @@ from kwl.formula import (
     Not,
     Prop,
     complexity,
-    enumerate_formulas,
     parse,
     render,
 )

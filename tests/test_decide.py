@@ -9,7 +9,14 @@ from itertools import product
 
 import pytest
 
-from helpers import ROOT, enumerate_class_models, random_formula, random_model, reference_mc
+from helpers import (
+    ROOT,
+    enumerate_class_models,
+    enumerate_formulas,
+    random_formula,
+    random_model,
+    reference_mc,
+)
 from kwl.decide import BudgetExceeded, DecisionResult, Validity, _Dia, _Tableau, sat, valid
 from kwl.formula import (
     Announce,
@@ -21,7 +28,6 @@ from kwl.formula import (
     Language,
     Not,
     Prop,
-    enumerate_formulas,
     parse,
     render,
     subformulas,

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_formulas, node_count, random_formula
+from helpers import (
+    count_formulas,
+    enumerate_formulas,
+    node_count,
+    random_formula,
+    reference_operators,
+)
 from kwl import formula
 from kwl.decide import _Dia, sat, valid
 from kwl.formula import (
@@ -34,7 +40,6 @@ from kwl.formula import (
     complexity,
     conj,
     disj,
-    enumerate_formulas,
     in_language,
     parse,
     props_of,
@@ -410,6 +415,66 @@ def test_language_classification():
     assert in_language(parse("Kw[i]p"), Language.PLKwA)
     assert not in_language(parse("K[i]p"), Language.PLKw)
     assert in_language(parse("p | bot"), Language.EL)
+
+
+# the operators each language admits, written out apart from formula._ALLOWED
+_ADMITS = {
+    Language.EL: {K},
+    Language.PLKw: {Kw},
+    Language.PLKwK: {Kw, K},
+    Language.PLKwA: {Kw, Announce},
+    Language.PLKwAK: {Kw, K, Announce},
+}
+
+
+def _assert_language_agrees(f):
+    ops = reference_operators(f)
+    for lang in Language:
+        assert in_language(f, lang) == (ops <= _ADMITS[lang]), (render(f), lang)
+    assert classify_language(f) == next(lang for lang in Language if ops <= _ADMITS[lang])
+
+
+def test_operator_summary_agrees_with_a_full_walk():
+    # enumerated formulas share their subformulas, so most are summarised
+    # first inside another formula
+    for f in enumerate_formulas(["p", "q"], ["i", "j"], Language.PLKwAK, 6):
+        _assert_language_agrees(f)
+    rng = random.Random(16)
+    for lang in Language:
+        for _ in range(300):
+            _assert_language_agrees(random_formula(rng, 6, agents=("i", "j"), lang=lang))
+
+
+def test_operator_summary_at_the_edges():
+    q = Prop("q_summary_edge")
+    announced = Announce(P, q)
+    assert not hasattr(q, "_ops")  # building a node summarises nothing
+    assert classify_language(announced) == Language.PLKwA
+    # q was summarised under an announcement; Kw[i]q must not inherit it
+    assert classify_language(Kw("i", q)) == Language.PLKw
+    assert in_language(Kw("i", q), Language.PLKw)
+    assert not in_language(announced, Language.PLKw)
+    assert classify_language(K("i", And(q, announced))) == Language.PLKwAK
+    assert classify_language(q) == Language.EL
+    # deep chains built with the constructors are summarised without recursion
+    chains = (
+        (lambda f: Kw("i", f), Language.PLKw, Language.EL),
+        (lambda f: K("i", f), Language.EL, Language.PLKwA),
+        (lambda f: Announce(P, f), Language.PLKwA, Language.PLKwK),
+    )
+    for build, least, outside in chains:
+        f = Prop("deep_summary_edge")
+        for _ in range(5000):
+            f = build(f)
+        assert in_language(f, least) and not in_language(f, outside)
+        assert classify_language(f) == least
+        assert classify_language(Not(f)) == least
+    # copy and pickle give back the interned node, summary and all
+    g = Kw("i", announced)
+    assert classify_language(g) == Language.PLKwA
+    for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert h is g
+        assert classify_language(h) == Language.PLKwA and not in_language(h, Language.PLKw)
 
 
 def test_enumeration_counts_match_recurrence():

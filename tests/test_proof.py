@@ -382,8 +382,17 @@ def test_language_gating():
     with pytest.raises(DerivationError) as exc:
         _check_lines("PLKw", [("[p]q | ~[p]q", "taut")])
     assert exc.value.index == 1
-    with pytest.raises(DerivationError):
+    with pytest.raises(DerivationError) as exc:
         _check_lines("LB", [("K[i]p | ~K[i]p", "taut")])
+    assert exc.value.index == 1
+    # step 2 shares Kw[i]q, whose summary step 1 filled, and hides a K beside it
+    with pytest.raises(DerivationError) as exc:
+        _check_lines("PLKw", [
+            ("Kw[i]q | ~Kw[i]q", "taut"),
+            ("(Kw[i]q | ~Kw[i]q) | Kw[i](q & K[i]q)", "pc 1"),
+        ])
+    assert exc.value.index == 2
+    assert str(exc.value) == "step 2: formula leaves the PLKw language"
     _check_lines("PLKwA", [("[p]q | ~[p]q", "taut")])
 
 
