@@ -150,7 +150,6 @@ class _Tableau:
         self.branches = 0
         self.work = 0
         self.nnf_memo: dict = {}
-        self.weights: dict = {}  # complexity's memo, for step's check
 
     def _tick(self):
         self.work += 1
@@ -203,7 +202,7 @@ class _Tableau:
                 out = (And(_Dia(f.agent, negd), _Dia(f.agent, pos)) if neg
                        else Or(K(f.agent, pos), K(f.agent, negd)))
         elif t is Announce:
-            out = nnf(step(f, self.weights), neg)
+            out = nnf(step(f), neg)
         else:
             raise TypeError(f"not a formula: {f!r}")
         self.nnf_memo[key] = out

@@ -49,15 +49,16 @@ class Formula:
     that node, so equal formulas are the same object, and == and hash are
     those of object: identity, in constant time at any depth.  A node's
     fields are its dataclass fields, in order (__match_args__).  The private
-    slot _ops holds the node's operator summary (_summary); it stays unset
-    until the first language query on a formula that holds the node.
+    slots _ops and _weight hold the node's summaries (_summary): the mask of
+    its operators and its complexity.  Each stays unset until the first query
+    for it on a formula that holds the node.
 
     children() lists a node's immediate subformulas, left to right, and
     map(fn) returns the same node with fn applied to each of them.  Leaves
     have no children and map to themselves.
     """
 
-    __slots__ = ("__weakref__", "_ops")
+    __slots__ = ("__weakref__", "_ops", "_weight")
 
     def __new__(cls, *fields, **named):
         if named:
@@ -324,34 +325,49 @@ _BIT = {Kw: 1, K: 2, Announce: 4}
 _OUTSIDE = {lang: ~sum(_BIT[op] for op in ops) for lang, ops in _ALLOWED.items()}
 
 
-def _fill(g: Formula, image) -> int:
-    # a child summarised before, by this pass or an earlier query, is read
-    # from its slot; fold enters only the others
+def _summary(slot: str, rule: Callable[[Formula, list], object]) -> Callable[[Formula], object]:
+    """A per-node summary kept in the private slot named slot: the value of a
+    node g is rule(g, values), values being those of g's children, left to
+    right, and never None.  The returned function reads a node's value from
+    its slot, or fills it on the first query with one fold over the nodes not
+    summarised yet, so any depth is summarised whole and each node once for
+    good."""
+
+    def fill(g: Formula, image) -> object:
+        # a child summarised before, by this pass or an earlier query, is read
+        # from its slot; fold enters only the others
+        values = []
+        for h in g.children():
+            value = getattr(h, slot, None)
+            values.append(image(h) if value is None else value)
+        value = rule(g, values)
+        _set(g, slot, value)
+        return value
+
+    def summary(f: Formula) -> object:
+        value = getattr(f, slot, None)
+        return fold(f, fill) if value is None else value
+
+    return summary
+
+
+def _mask(g: Formula, masks: list) -> int:
+    # g's own bit, if any, with its children's masks
     ops = _BIT.get(type(g), 0)
-    for h in g.children():
-        try:
-            ops |= h._ops
-        except AttributeError:
-            ops |= image(h)
-    _set(g, "_ops", ops)
+    for mask in masks:
+        ops |= mask
     return ops
 
 
-def _summary(f: Formula) -> int:
-    """The _BIT mask of the operators that occur in f.  Filled on the first
-    query by one fold over the nodes not summarised yet, then read from
-    f's slot."""
-    try:
-        return f._ops
-    except AttributeError:
-        return fold(f, _fill)
+# the _BIT mask of the operators that occur in a formula
+_operators = _summary("_ops", _mask)
 
 
 def in_language(f: Formula, lang: Language) -> bool:
     """Whether every operator of f is one that lang admits.  Reads f's
     operator summary, which is filled once per node, so a query costs O(1)
     on a formula queried before and one visit per new node otherwise."""
-    return not _summary(f) & _OUTSIDE[lang]
+    return not _operators(f) & _OUTSIDE[lang]
 
 
 def classify_language(f: Formula) -> Language:
@@ -361,7 +377,7 @@ def classify_language(f: Formula) -> Language:
     A purely Boolean formula sits in both EL and PLKw; EL is returned as the
     canonical answer for that corner.
     """
-    ops = _summary(f)
+    ops = _operators(f)
     return next(lang for lang in Language if not ops & _OUTSIDE[lang])
 
 
@@ -383,34 +399,22 @@ def agents_of(f: Formula) -> set[str]:
 # asserts the strict decrease on every rewrite it performs.
 
 
-def complexity(f: Formula, memo: Optional[dict] = None) -> int:
-    """The weight of f.  memo, when given, maps nodes to their weights and is
-    kept across calls; each node but a ~ is weighed once either way, so
-    shared subformulas cost nothing more.  A run of ~ is counted in one
-    stack frame."""
-    nots = 0
-    while type(f) is Not:
-        f, nots = f.sub, nots + 1
-    kind = type(f)
-    if kind is Top or kind is Bot or kind is Prop:
-        return nots + 1  # no children() call, which would cost a leaf one more frame
-    if memo is None:
-        memo = {}
-    weight = memo.get(f)
-    if weight is not None:
-        return nots + weight
-    if kind is Announce:
-        weight = (4 + complexity(f.announced, memo)) * complexity(f.body, memo)
-    else:
-        # a plain loop: a generator or map() inside max() costs a stack frame per level
-        deepest = 0
-        for g in f.children():
-            c = complexity(g, memo)
-            if c > deepest:
-                deepest = c
-        weight = (2 if isinstance(f, Modal) else 1) + deepest
-    memo[f] = weight
-    return nots + weight
+def _weigh(g: Formula, weights: list) -> int:
+    if type(g) is Announce:
+        return (4 + weights[0]) * weights[1]
+    return (2 if isinstance(g, Modal) else 1) + max(weights, default=0)
+
+
+_weight = _summary("_weight", _weigh)
+
+
+def complexity(f: Formula) -> int:
+    """The weight of f: 1 for a leaf, 1 plus the heaviest child for ~ and the
+    binary connectives, 2 plus the argument for Kw[i] and K[i], and
+    (4 + weight of a) * (weight of b) for [a]b.  Read from the node's weight
+    summary, which is filled once per node, so a shared subformula is weighed
+    once across calls and any depth is weighed whole."""
+    return _weight(f)
 
 
 # ---------------------------------------------------------------------------
@@ -551,35 +555,42 @@ def parse(text: str, *, props: Optional[set] = None, agents: Optional[set] = Non
 # rendering
 
 def render(f: Formula) -> str:
-    """Minimal-parenthesis concrete syntax; parse(render(f)) == f."""
-    return _render(f, 0)
+    """Minimal-parenthesis concrete syntax; parse(render(f)) == f.
 
-
-def _render(f: Formula, limit: int) -> str:
-    """f as an operand whose enclosing connective sits at level limit: in
-    parentheses when f's own binds looser.  One stack frame per level, and
-    one for a whole run of the prefixes ~, Kw[i], K[i] and [a]."""
-    prefixes = []
-    while isinstance(f, (Not, Kw, K, Announce)):
-        if type(f) is Announce:
-            prefixes.append("[" + _render(f.announced, 0) + "]")
-            f = f.body
-        else:  # the modalities are written with their class names
-            prefixes.append("~" if type(f) is Not else f"{type(f).__name__}[{f.agent}]")
-            f = f.sub
-    if prefixes:
-        return "".join(prefixes) + _render(f, _UNARY)
-    match f:
-        case Top():
-            return "top"
-        case Bot():
-            return "bot"
-        case Prop(name):
-            return name
-        case Binary(left=a, right=b):
-            level = _LEVEL[type(f)]
+    One loop over a stack of pending pieces, each literal text or a
+    subformula with the level of its enclosing connective, which is written
+    in parentheses when its own binds looser.  So any depth is written whole."""
+    out = []
+    pending: list = [(f, 0)]
+    while pending:
+        piece = pending.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        g, limit = piece
+        kind = type(g)
+        if kind is Prop:
+            out.append(g.name)
+        elif kind is Not:
+            out.append("~")
+            pending.append((g.sub, _UNARY))
+        elif kind is Kw or kind is K:  # the modalities are written with their class names
+            out.append(f"{kind.__name__}[{g.agent}]")
+            pending.append((g.sub, _UNARY))
+        elif kind is Announce:
+            out.append("[")
+            pending += (g.body, _UNARY), "]", (g.announced, 0)
+        elif kind is Top or kind is Bot:
+            out.append("top" if kind is Top else "bot")
+        elif isinstance(g, Binary):
+            level = _LEVEL[kind]
             _, symbol, right_assoc = _CONNECTIVES[level]
-            # the operand on the associative side may sit at the same level
-            s = f"{_render(a, level + right_assoc)} {symbol} {_render(b, level + 1 - right_assoc)}"
-            return "(" + s + ")" if level < limit else s
-    raise TypeError(f"not a formula: {f!r}")
+            # the operand on the associative side may sit at the same level;
+            # pushed last piece first
+            if level < limit:
+                out.append("(")
+                pending.append(")")
+            pending += (g.right, level + 1 - right_assoc), f" {symbol} ", (g.left, level + right_assoc)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)

@@ -68,17 +68,14 @@ def reduce(f: Formula) -> Formula:
     An announcement is rewritten by step before its parts are reduced, and
     the copies step makes of a part are one node, reduced once.  So the output
     can be exponentially larger than f as a tree, but not as a DAG."""
-    weights: dict = {}
-    return fold(f, lambda g, image: (image(step(g, weights)) if type(g) is Announce
-                                     else g.map(image)))
+    return fold(f, lambda g, image: image(step(g)) if type(g) is Announce else g.map(image))
 
 
-def step(redex: Announce, weights: dict) -> Formula:
+def step(redex: Announce) -> Formula:
     """One rewrite of the redex [a]b by the reduction axiom for b's shape.
 
     Asserts that the weighted complexity strictly drops, so that rewriting
-    until no announcement is left terminates.  weights is complexity's memo,
-    kept by the caller across its steps, so each node is weighed once."""
+    until no announcement is left terminates."""
     announced, body = redex.announced, redex.body
     match body:
         case Top():
@@ -102,5 +99,5 @@ def step(redex: Announce, weights: dict) -> Formula:
             out = Announce(And(announced, Announce(announced, inner)), sub)
         case _:
             raise TypeError(f"not a formula: {body!r}")
-    assert complexity(out, weights) < complexity(redex, weights), f"rewrite did not shrink: {redex}"
+    assert complexity(out) < complexity(redex), f"rewrite did not shrink: {redex}"
     return out

@@ -168,6 +168,10 @@ def test_rewrites_take_what_parse_accepts(capsys):
     deep = "~" * 900 + "Kw[i]p"
     assert run(capsys, "reduce", deep) == (0, deep + "\n", "")
     assert run(capsys, "translate", "t", deep) == (0, "~" * 900 + "(K[i]p | K[i]~p)\n", "")
+    # parse reads a run of & in a loop, and so do the rewrites and render
+    long = " & ".join(["p"] * 1000)
+    assert run(capsys, "reduce", long) == (0, long + "\n", "")
+    assert run(capsys, "translate", "t", long) == (0, long + "\n", "")
     code, out, err = run(capsys, "translate", "tprime", deep)
     assert (code, out, err) == (2, "", "kwl: el_to_kw is defined on the K-only language, "
                                        "got: Kw[i]p\n")

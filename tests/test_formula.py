@@ -1,11 +1,13 @@
 """Formula AST, parser, printer, enumerator."""
 
+import ast
 import copy
 import dataclasses
 import gc
 import pickle
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -279,14 +281,31 @@ def test_deep_formulas_are_walked_without_recursion():
     assert el_to_kw(g) == _chain(5000, And(P, Kw("i", P)))
     assert instantiate(_chain(5000, K("I", Prop("A"))), {"A": Q, "I": "j"}) == \
         _chain(5000, K("j", Q))
-    # and a run of ~ takes one stack frame in the tableau, the evaluator,
-    # render and complexity
+    # a run of ~ takes one stack frame in the tableau and the evaluator
     assert sat(f, FrameClass.K).satisfiable
     assert not valid(f, FrameClass.K).valid
     assert mc(_M, "s", f) and model_valid(_M, f) and frame_valid(_M, f)
     assert not mc(_M, "s", Not(f))
+    # render and complexity take no stack frame per level, whatever the shape
     assert render(f) == "~" * 5000 + "Kw[i]p"
     assert complexity(f) == 5000 + complexity(Kw("i", P))
+    n = 5000
+    chains = (  # (one level over g, the text, the weight) of n levels over q
+        (lambda g: And(P, g), "p & (" * (n - 1) + "p & q" + ")" * (n - 1), n + 1),
+        (lambda g: And(g, P), "q" + " & p" * n, n + 1),
+        (lambda g: Implies(P, g), "p -> " * n + "q", n + 1),
+        (lambda g: Kw("i", g), "Kw[i]" * n + "q", 2 * n + 1),
+        (lambda g: K("i", g), "K[i]" * n + "q", 2 * n + 1),
+        (lambda g: Announce(P, g), "[p]" * n + "q", 5 ** n),
+    )
+    for build, text, weight in chains:
+        g = Q
+        for _ in range(n):
+            g = build(g)
+        assert render(g) == text
+        assert complexity(g) == weight
+        reduced = reduce(g)
+        assert reduced is g if type(g) is not Announce else classify_language(reduced) == Language.EL
 
 
 _M = KripkeModel(["s", "t"], ["i"], {"i": [("s", "t"), ("t", "t")]}, {"p": ["t"]})
@@ -338,6 +357,38 @@ def test_every_public_function_takes_what_parse_accepts():
                 outcomes[name] = "refused"  # outside the function's language
         assert outcomes == {name: "refused" if name in refused else "answered"
                             for name in _AT_PARSE_DEPTH}, (atom, lo)
+
+
+def test_the_walks_that_recurse_are_these():
+    # the functions of src/kwl that call themselves, by name or as a method;
+    # a call through super() is not one.  A new recursive walk is a decision:
+    # it goes on this list and on the README's.
+    def calls_itself(fn: ast.FunctionDef) -> bool:
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = call.func
+            if isinstance(callee, ast.Name) and callee.id == fn.name:
+                return True
+            if (isinstance(callee, ast.Attribute) and callee.attr == fn.name
+                    and ast.unparse(callee.value) != "super()"):
+                return True
+        return False
+
+    found = set()
+    for path in Path(formula.__file__).parent.glob("*.py"):
+        pending = [(ast.parse(path.read_text()), path.stem)]
+        while pending:
+            node, name = pending.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = name
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = f"{name}.{child.name}"
+                    if isinstance(child, ast.FunctionDef) and calls_itself(child):
+                        found.add(inner)
+                pending.append((child, inner))
+    assert found == {"decide._Tableau.nnf", "decide._Tableau.search", "semantics._ext",
+                     "proof._match", "formula._Parser.formula", "formula._Parser.unary"}
 
 
 def test_equal_formulas_are_one_node():
@@ -398,7 +449,7 @@ def test_the_intern_table_pins_nothing():
 
 
 def test_parser_and_complexity_depth():
-    # two stack frames a parenthesis; a run of ~ is weighed in one
+    # two stack frames a parenthesis
     assert parse("(" * 180 + "p" + ")" * 180) == P
     deep = parse("~" * 700 + "p")
     assert complexity(deep) == 701
@@ -448,10 +499,13 @@ def test_operator_summary_agrees_with_a_full_walk():
 def test_operator_summary_at_the_edges():
     q = Prop("q_summary_edge")
     announced = Announce(P, q)
-    assert not hasattr(q, "_ops")  # building a node summarises nothing
+    # building a node summarises nothing
+    assert not hasattr(q, "_ops") and not hasattr(q, "_weight")
     assert classify_language(announced) == Language.PLKwA
+    assert complexity(announced) == 5
     # q was summarised under an announcement; Kw[i]q must not inherit it
     assert classify_language(Kw("i", q)) == Language.PLKw
+    assert complexity(Kw("i", q)) == 3
     assert in_language(Kw("i", q), Language.PLKw)
     assert not in_language(announced, Language.PLKw)
     assert classify_language(K("i", And(q, announced))) == Language.PLKwAK
@@ -472,9 +526,11 @@ def test_operator_summary_at_the_edges():
     # copy and pickle give back the interned node, summary and all
     g = Kw("i", announced)
     assert classify_language(g) == Language.PLKwA
+    assert complexity(g) == 7
     for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert h is g
         assert classify_language(h) == Language.PLKwA and not in_language(h, Language.PLKw)
+        assert complexity(h) == 7
 
 
 def test_enumeration_counts_match_recurrence():

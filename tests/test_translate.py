@@ -165,7 +165,7 @@ def test_step_is_the_reduction_axioms():
         for body in (Prop(rng.choice("pq")), Not(c), And(c, d), Announce(c, d), Kw("i", c)):
             redex = Announce(a, body)
             matched = {name for name in axioms.values()
-                       if match_axiom(name, Iff(redex, step(redex, {}))) is not None}
+                       if match_axiom(name, Iff(redex, step(redex))) is not None}
             assert matched == {axioms[type(body)]}, render(redex)
 
 
