@@ -372,8 +372,9 @@ class _Tableau:
                 bit = 1 << level
                 mask = br.labels[w][f] | bit
                 clashes = 0
-                for piece in (f.left, f.right):
-                    child = br.copy()
+                for right, piece in enumerate((f.left, f.right)):
+                    # nothing reads br after the loop, so the right child takes it
+                    child = br if right else br.copy()
                     self._add(child, w, piece, mask)
                     found = self.search(child, level + 1)
                     # an open branch, or a clash that this split's choice did not cause

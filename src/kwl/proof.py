@@ -10,6 +10,7 @@ lines only and is replayed from scratch by the checker.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -392,20 +393,66 @@ def format_derivation(d: Derivation) -> str:
 # ---------------------------------------------------------------------------
 # checking
 
+# The arguments each justification takes, in order.  A line cites an earlier
+# step and lines cite one or more; an agent, a var (a proposition letter) and
+# a name (of an axiom) are one token each; a formula takes the tokens that
+# the other arguments leave.
+_SHAPES = {
+    "axiom": ("name",),
+    "taut": (),
+    "pc": ("lines",),
+    "mp": ("line", "line"),
+    "neckw": ("line", "agent"),
+    "rekw": ("line", "agent"),
+    "sub": ("line", "formula", "var"),
+    "ri": ("line", "formula"),
+    "wm": ("line",),
+}
+_WIDE = {"lines", "formula"}  # the kinds that take one token or more
+# rule -> its shape, the fewest and the most tokens of a justification by the
+# rule (its name included), and whether each argument is read as its own token
+_ARITY = {rule: (shape, len(shape) + 1, len(shape) + 1 if _WIDE.isdisjoint(shape) else math.inf,
+                 set(shape) <= {"name", "agent"}) for rule, shape in _SHAPES.items()}
 
-def _refs(tokens, step, count=None):
-    try:
-        refs = [int(t) for t in tokens]
-    except ValueError:
-        raise DerivationError(step.index, f"bad line reference in {step.justification!r}") from None
-    if count is not None and len(refs) != count:
-        raise DerivationError(step.index, f"expected {count} line reference(s), got {len(refs)}")
-    if not refs:
-        raise DerivationError(step.index, "expected at least one line reference")
-    for r in refs:
-        if not 1 <= r < step.index:
-            raise DerivationError(step.index, f"reference {r} is not an earlier step")
-    return refs
+
+def _read(system: ProofSystem, d: Derivation, step: Step) -> tuple:
+    """The step's rule, and one value per argument of the rule's shape: the
+    formula of a cited step (a list of them for lines), a parsed formula, or
+    the token itself."""
+    tokens = step.justification.replace(",", " ").split()
+    if not tokens:
+        raise DerivationError(step.index, "empty justification")
+    rule = tokens[0].lower()
+    if rule != "axiom" and rule not in system.rules:  # axioms are gated by name
+        raise DerivationError(step.index, f"rule {rule!r} is not available in {system.name}")
+    shape, least, most, plain = _ARITY[rule]
+    if not least <= len(tokens) <= most:
+        raise DerivationError(step.index, " ".join(["usage:", rule, *(f"<{k}>" for k in shape)]))
+    if plain:  # nothing to convert: taut and axiom, the commonest steps, skip the loop
+        return rule, tokens[1:]
+    values = []
+    at, wide = 1, len(tokens) - least + 1  # the tokens a wide argument takes
+    for kind in shape:
+        n = wide if kind in _WIDE else 1
+        if kind == "line" or kind == "lines":
+            cited = []
+            for word in tokens[at:at + n]:
+                r = int(word) if word.isdecimal() else 0
+                if not 0 < r < step.index:
+                    raise DerivationError(step.index, f"line {word} is not an earlier step")
+                cited.append(d.steps[r - 1].formula)
+            values.append(cited if kind == "lines" else cited[0])
+        elif kind == "formula":
+            try:
+                values.append(parse(" ".join(tokens[at:at + n])))
+            except ValueError as e:
+                raise DerivationError(step.index, f"bad formula argument: {e}") from None
+        elif kind == "var" and not re.fullmatch(r"[a-z][a-z0-9_]*", tokens[at]):
+            raise DerivationError(step.index, f"bad variable {tokens[at]!r}")
+        else:
+            values.append(tokens[at])
+        at += n
+    return rule, values
 
 
 def _taut(step, f, what):
@@ -419,10 +466,9 @@ def _taut(step, f, what):
 
 def _check_axiom(system: ProofSystem, step: Step, name: str):
     name = _AXIOM_ALIASES.get(name, name)
-    if name not in AXIOMS:
-        raise DerivationError(step.index, f"unknown axiom {name!r}")
     if name not in system.axioms:
-        raise DerivationError(step.index, f"axiom {name} is not part of {system.name}")
+        raise DerivationError(step.index, f"axiom {name} is not part of {system.name}"
+                              if name in AXIOMS else f"unknown axiom {name!r}")
     if match_axiom(name, step.formula) is None:
         near = [other for other in system.axioms
                 if other != name and match_axiom(other, step.formula) is not None]
@@ -431,108 +477,59 @@ def _check_axiom(system: ProofSystem, step: Step, name: str):
         raise DerivationError(step.index, f"not an instance of {name}{hint}")
 
 
-def _check_step(system: ProofSystem, d: Derivation, step: Step):
-    if not in_language(step.formula, system.language):
-        raise DerivationError(step.index,
-                              f"formula leaves the {system.language.value} language")
-    tokens = step.justification.replace(",", " ").split()
-    if not tokens:
-        raise DerivationError(step.index, "empty justification")
-    rule = tokens[0].lower()
-    if rule == "axiom":
-        if len(tokens) != 2:
-            raise DerivationError(step.index, "axiom justification needs exactly one name")
-        _check_axiom(system, step, tokens[1])
-        return
-    if rule not in system.rules:
-        raise DerivationError(step.index, f"rule {rule!r} is not available in {system.name}")
-    f = step.formula
-    prem = lambda r: d.steps[r - 1].formula
-
-    if rule == "taut":
-        _taut(step, f, "not a boolean tautology")
-    elif rule == "pc":
-        refs = _refs(tokens[1:], step)
-        _taut(step, Implies(conj([prem(r) for r in refs]), f),
-              "not a boolean consequence of the cited lines")
-    elif rule == "mp":
-        a, b = _refs(tokens[1:], step, 2)
-        fa, fb = prem(a), prem(b)
-        ok = (isinstance(fb, Implies) and fb.left == fa and fb.right == f) or \
-             (isinstance(fa, Implies) and fa.left == fb and fa.right == f)
-        if not ok:
-            raise DerivationError(step.index, "modus ponens does not apply to the cited lines")
-    elif rule == "neckw":
-        if len(tokens) != 3:
-            raise DerivationError(step.index, "usage: neckw <line> <agent>")
-        (a,) = _refs(tokens[1:2], step, 1)
-        if f != Kw(tokens[2], prem(a)):
-            raise DerivationError(step.index, f"expected Kw[{tokens[2]}] applied to line {a}")
-    elif rule == "rekw":
-        if len(tokens) != 3:
-            raise DerivationError(step.index, "usage: rekw <line> <agent>")
-        (a,) = _refs(tokens[1:2], step, 1)
-        g = prem(a)
-        if not isinstance(g, Iff):
-            raise DerivationError(step.index, f"line {a} is not an equivalence")
-        if f != Iff(Kw(tokens[2], g.left), Kw(tokens[2], g.right)):
-            raise DerivationError(step.index, "replacement of equivalents under Kw does not match")
-    elif rule == "sub":
-        if len(tokens) < 4:
-            raise DerivationError(step.index, "usage: sub <line> <context formula> <variable>")
-        (a,) = _refs(tokens[1:2], step, 1)
-        var = tokens[-1]
-        if not re.fullmatch(r"[a-z][a-z0-9_]*", var):
-            raise DerivationError(step.index, f"bad substitution variable {var!r}")
-        try:
-            ctx = parse(" ".join(tokens[2:-1]))
-        except ValueError as e:
-            raise DerivationError(step.index, f"bad context formula: {e}") from None
-        g = prem(a)
-        if not isinstance(g, Iff):
-            raise DerivationError(step.index, f"line {a} is not an equivalence")
-        if f != Iff(substitute(ctx, var, g.left), substitute(ctx, var, g.right)):
-            raise DerivationError(step.index, "substitution of equivalents does not match")
-    elif rule == "ri":
-        if len(tokens) < 3:
-            raise DerivationError(step.index, "usage: ri <line> <formula>")
-        (a,) = _refs(tokens[1:2], step, 1)
-        try:
-            chi = parse(" ".join(tokens[2:]))
-        except ValueError as e:
-            raise DerivationError(step.index, f"bad formula argument: {e}") from None
-        g = prem(a)
-        if not (isinstance(f, And) and isinstance(f.left, Kw) and f.left.sub == g):
-            raise DerivationError(step.index, "conclusion must start with Kw applied to the cited line")
-        agent = f.left.agent
-        want = And(Kw(agent, g),
-                   Implies(Not(Kw(agent, chi)), Not(Kw(agent, And(chi, g)))))
-        if f != want:
-            raise DerivationError(step.index, f"expected {render(want)}")
-    elif rule == "wm":
-        (a,) = _refs(tokens[1:], step, 1)
-        g = prem(a)
-        ok = (isinstance(g, Implies) and isinstance(g.left, And)
-              and isinstance(g.left.left, Kw) and g.left.left.sub == g.left.right)
-        if not ok:
-            raise DerivationError(step.index, f"line {a} does not have the shape Kw[i]f & f -> g")
-        agent = g.left.left.agent
-        if f != Implies(g.left, And(Kw(agent, g.right), g.right)):
-            raise DerivationError(step.index, "weak monotonicity conclusion does not match")
-    else:
-        raise DerivationError(step.index, f"unknown rule {rule!r}")
+def _conclusion(step: Step, rule: str, args: list) -> Formula:
+    """The one formula that a neckw, rekw, sub, ri or wm step may conclude."""
+    f, g = step.formula, args[0]
+    if rule in ("rekw", "sub") and not isinstance(g, Iff):
+        raise DerivationError(step.index, "the cited line is not an equivalence")
+    if rule == "neckw":
+        return Kw(args[1], g)
+    if rule == "rekw":
+        return Iff(Kw(args[1], g.left), Kw(args[1], g.right))
+    if rule == "sub":
+        _, context, var = args
+        return Iff(substitute(context, var, g.left), substitute(context, var, g.right))
+    if rule == "ri":
+        if not (isinstance(f, And) and isinstance(f.left, Kw)):
+            raise DerivationError(step.index, "conclusion must start with Kw[<agent>]")
+        kw = lambda h: Kw(f.left.agent, h)
+        return And(kw(g), Implies(Not(kw(args[1])), Not(kw(And(args[1], g)))))
+    # wm: from Kw[i]f & f -> g infer Kw[i]f & f -> Kw[i]g & g
+    if not (isinstance(g, Implies) and isinstance(g.left, And)
+            and isinstance(g.left.left, Kw) and g.left.left.sub == g.left.right):
+        raise DerivationError(step.index, "the cited line does not have the shape Kw[i]f & f -> g")
+    return Implies(g.left, And(Kw(g.left.left.agent, g.right), g.right))
 
 
 def check_derivation(d: Derivation) -> Formula:
-    """Replay every step; returns the conclusion or raises DerivationError."""
+    """Replay every step; returns the conclusion or raises DerivationError.
+
+    Step k of d.steps must carry the index k, since a justification cites
+    lines by index."""
     if d.system not in SYSTEMS:
         raise DerivationError(0, f"unknown system {d.system!r} "
                                  f"(known: {', '.join(sorted(SYSTEMS))})")
     if not d.steps:
         raise DerivationError(0, "derivation has no steps")
     system = SYSTEMS[d.system]
-    for step in d.steps:
-        _check_step(system, d, step)
+    for k, step in enumerate(d.steps, 1):
+        f = step.formula
+        if step.index != k:
+            raise DerivationError(k, f"step numbered {step.index}, expected {k}")
+        if not in_language(f, system.language):
+            raise DerivationError(k, f"formula leaves the {system.language.value} language")
+        rule, args = _read(system, d, step)
+        if rule == "axiom":
+            _check_axiom(system, step, args[0])
+        elif rule == "taut":
+            _taut(step, f, "not a boolean tautology")
+        elif rule == "pc":
+            _taut(step, Implies(conj(args[0]), f), "not a boolean consequence of the cited lines")
+        elif rule == "mp":
+            if args[1] != Implies(args[0], f) and args[0] != Implies(args[1], f):
+                raise DerivationError(k, "modus ponens does not apply to the cited lines")
+        elif f != (want := _conclusion(step, rule, args)):
+            raise DerivationError(k, f"expected {render(want)}")
     return d.steps[-1].formula
 
 

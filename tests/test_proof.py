@@ -339,6 +339,63 @@ def test_rule_sub():
     assert exc.value.index == 2
 
 
+@pytest.mark.parametrize("lines, message", [
+    ([("p -> p | q", "taut"), ("Kw[i](q -> p)", "neckw 1 i")],
+     "step 2: expected Kw[i](p -> p | q)"),
+    ([("(p & q) <-> (q & p)", "taut"), ("Kw[i](p & q) <-> Kw[i](p & q)", "rekw 1 i")],
+     "step 2: expected Kw[i](p & q) <-> Kw[i](q & p)"),
+    ([("(p & q) <-> (q & p)", "taut"), ("Kw[i](q & p) <-> Kw[i](p & q)", "sub 1 Kw[i]x x")],
+     "step 2: expected Kw[i](p & q) <-> Kw[i](q & p)"),
+], ids=["neckw", "rekw", "sub"])
+def test_wrong_conclusion_names_the_licensed_one(lines, message):
+    with pytest.raises(DerivationError) as exc:
+        _check_lines("PLKw", lines)
+    assert str(exc.value) == message
+
+
+# per rule of the justification table, one token short of its shape and, when
+# no argument of the shape takes a run of tokens, one token over
+_BAD_ARITY = [
+    ("taut 7", "usage: taut"),
+    ("axiom", "usage: axiom <name>"),
+    ("axiom KwCon KwDis", "usage: axiom <name>"),
+    ("pc", "usage: pc <lines>"),
+    ("mp 1", "usage: mp <line> <line>"),
+    ("mp 1 1 1", "usage: mp <line> <line>"),
+    ("neckw 1", "usage: neckw <line> <agent>"),
+    ("neckw 1 i j", "usage: neckw <line> <agent>"),
+    ("rekw 1", "usage: rekw <line> <agent>"),
+    ("rekw 1 i j", "usage: rekw <line> <agent>"),
+    ("sub 1 x", "usage: sub <line> <formula> <var>"),
+    ("ri 1", "usage: ri <line> <formula>"),
+    ("wm", "usage: wm <line>"),
+    ("wm 1 1", "usage: wm <line>"),
+]
+
+
+def test_bad_arity_cases_cover_every_rule():
+    assert {j.split()[0] for j, _ in _BAD_ARITY} == set(kwl.proof._SHAPES)
+
+
+@pytest.mark.parametrize("justification, usage", _BAD_ARITY, ids=[j for j, _ in _BAD_ARITY])
+def test_wrong_token_count_is_rejected_with_usage(justification, usage):
+    system = {"ri": "Ig", "wm": "LB"}.get(justification.split()[0], "PLKw")
+    with pytest.raises(DerivationError) as exc:
+        _check_lines(system, [("p -> p", "taut"), ("p -> p", justification)])
+    assert exc.value.index == 2
+    assert str(exc.value) == f"step 2: {usage}"
+
+
+def test_step_index_must_be_its_position():
+    # line 1 would resolve to the step itself
+    with pytest.raises(DerivationError) as exc:
+        check_derivation(Derivation("PLKw", (Step(2, parse("p & ~q"), "pc 1"),)))
+    assert (exc.value.index, str(exc.value)) == (1, "step 1: step numbered 2, expected 1")
+    with pytest.raises(DerivationError) as exc:
+        check_derivation(Derivation("PLKw", (Step(3, parse("p & ~q"), "pc 2"),)))
+    assert exc.value.index == 1
+
+
 def test_rule_ri_requires_system():
     with pytest.raises(DerivationError) as exc:
         _check_lines("PLKw", [
