@@ -6,8 +6,10 @@ suite's generator, asks sat about each and its negation over the ten frame
 classes at the given budget (so the negations' answers are valid's), and
 prints one SHA-256 digest of every call's verdict, prefix and branch counts,
 model as compact JSON, or exception type and text.  Two checkouts that print
-the same digest gave the same answers with the same work.  Standard library
-only; run from the repository root:
+the same digest gave the same answers with the same work.  The summary line
+also gives the budget ticks that the calls took in all (the sum of each
+tableau's work), which the digest leaves out.  Standard library only; run
+from the repository root:
 
     PYTHONPATH=src:tests python3 scripts/sat_digest.py [--budget N] [--out FILE]
 
@@ -24,6 +26,7 @@ import random
 import sys
 
 from helpers import random_formula
+from kwl import decide
 from kwl.decide import sat
 from kwl.formula import Language, Not, render
 from kwl.semantics import FrameClass
@@ -31,6 +34,14 @@ from kwl.semantics import FrameClass
 SEED = 0
 FORMULAS = 1200  # a third per language; with negations and classes, 24,000 calls
 LANGUAGES = (Language.PLKw, Language.PLKwK, Language.PLKwA)
+
+tableaux = []  # each call's tableau, until its work is summed
+
+
+class _Counted(decide._Tableau):
+    def __init__(self, *args):
+        super().__init__(*args)
+        tableaux.append(self)
 
 
 def record(f, frame_class: FrameClass, budget: int) -> str:
@@ -54,7 +65,8 @@ def main(argv=None) -> int:
     rng = random.Random(SEED)
     digest = hashlib.sha256()
     lines = []
-    raised = satisfiable = 0
+    raised = satisfiable = ticks = 0
+    decide._Tableau = _Counted
     for n in range(FORMULAS):
         f = random_formula(rng, rng.randint(2, 5), props=("p", "q", "r"),
                            agents=("i", "j"), lang=LANGUAGES[n % len(LANGUAGES)])
@@ -65,11 +77,13 @@ def main(argv=None) -> int:
                 lines.append(line)
                 raised += "\traises " in line
                 satisfiable += "\tTrue\t" in line
+                while tableaux:
+                    ticks += tableaux.pop().work
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     print(f"calls {len(lines)}  satisfiable {satisfiable}  raised {raised}  "
-          f"budget {args.budget}")
+          f"budget {args.budget}  ticks {ticks}")
     print(f"sha256 {digest.hexdigest()}")
     return 0
 

@@ -79,15 +79,12 @@ def cmd_decide(args) -> int:
     comes with an invalid (a countermodel) or a satisfiable verdict."""
     f = _parse_formula(args.formula)
     cls = _frame_class(args.frame_class)
-    try:
-        if args.command == "decide":
-            r = valid(f, cls, budget=args.budget)
-            positive, model, yes, no = r.valid, r.countermodel, "valid", "invalid"
-        else:
-            r = sat(f, cls, budget=args.budget)
-            positive, model, yes, no = r.satisfiable, r.model, "satisfiable", "unsatisfiable"
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    if args.command == "decide":
+        r = valid(f, cls, budget=args.budget)
+        positive, model, yes, no = r.valid, r.countermodel, "valid", "invalid"
+    else:
+        r = sat(f, cls, budget=args.budget)
+        positive, model, yes, no = r.satisfiable, r.model, "satisfiable", "unsatisfiable"
     print(yes if positive else no)
     if model is not None and args.model_path:
         with open(args.model_path, "w") as fh:

@@ -105,19 +105,21 @@ class _Dia(Modal):
 
 class _Branch:
     # labels and boxes map each formula to its mask (module docstring), in
-    # arrival order, so that diamonds fire and boxes move in that order
-    # whatever the string-hash seed.  Worlds are the keys of labels, 0, 1, ...
-    # in creation order; 0 is the root.  succ maps (world, agent) to the
-    # world's agent-children and their edges' masks; parent maps (world,
-    # agent) to (parent, mask) when the edge into the world is the agent's.
-    __slots__ = ("labels", "succ", "parent", "boxes", "fired", "det", "splits")
+    # arrival order, so that boxes move in that order whatever the
+    # string-hash seed.  Worlds are the keys of labels, 0, 1, ... in creation
+    # order; 0 is the root.  dias maps each world, in the same order, to its
+    # diamonds that have not fired, in arrival order.  succ maps (world,
+    # agent) to the world's agent-children and their edges' masks; parent
+    # maps (world, agent) to (parent, mask) when the edge into the world is
+    # the agent's.
+    __slots__ = ("labels", "succ", "parent", "boxes", "dias", "det", "splits")
 
     def __init__(self):
         self.labels: dict[int, dict] = {}
         self.succ: dict[tuple, dict] = {}
         self.parent: dict[tuple, tuple] = {}
         self.boxes: dict[tuple, dict] = {}
-        self.fired: set = set()
+        self.dias: dict[int, list] = {}
         self.det: deque = deque()
         self.splits: list = []
 
@@ -127,7 +129,7 @@ class _Branch:
         br.succ = {k: dict(s) for k, s in self.succ.items()}
         br.parent = dict(self.parent)
         br.boxes = {k: dict(s) for k, s in self.boxes.items()}
-        br.fired = set(self.fired)
+        br.dias = {w: list(s) for w, s in self.dias.items()}
         br.det = deque(self.det)
         br.splits = list(self.splits)
         return br
@@ -217,7 +219,7 @@ class _Tableau:
 
     def _new_world(self, br) -> int:
         w = len(br.labels)
-        br.labels[w] = {}
+        br.labels[w], br.dias[w] = {}, []
         self.prefixes += 1
         self._tick()
         return w
@@ -292,14 +294,14 @@ class _Tableau:
                 case K(agent, _):
                     br.boxes.setdefault((w, agent), {})[f] = mask
                     self._move_box(br, w, f, mask)
+                case _Dia():
+                    br.dias[w].append(f)
         return None
 
     def _fire_one(self, br) -> bool:
         """Expand the diamonds of one world (or one seriality obligation); True on progress."""
-        # both loops return right after _new_world, so labels never grows under them
-        for w in br.labels:
-            dias = [f for f in br.labels[w]
-                    if isinstance(f, _Dia) and (w, f) not in br.fired]
+        # both loops return right after _new_world, so no dict grows under them
+        for w, dias in br.dias.items():
             if not dias or self._blocker(br, w) != w:
                 continue
             # the order in which box and diamond bodies reach the successor's
@@ -309,15 +311,15 @@ class _Tableau:
                 # agent's diamonds fire into it, after its boxes
                 agent = min(f.agent for f in dias)
                 fire = [f for f in dias if f.agent == agent]
+                dias[:] = [f for f in dias if f.agent != agent]
                 succ = br.succ.get((w, agent))
                 v = next(iter(succ)) if succ else self._new_world(br)
                 if not succ:
                     self._add_edge(br, agent, w, v, br.labels[w][fire[0]])
             else:
-                agent, fire = dias[0].agent, dias[:1]
+                agent, fire = dias[0].agent, [dias.pop(0)]
                 v = self._new_world(br)
             for f in fire:
-                br.fired.add((w, f))
                 self._add(br, v, f.sub, br.labels[w][f])
             if not self.pf:
                 self._add_edge(br, agent, w, v, br.labels[w][fire[0]])
@@ -386,12 +388,6 @@ class _Tableau:
                 self.branches += 1
                 return br
 
-    def solve(self, root: Formula) -> _Branch | int:
-        br = _Branch()
-        w0 = self._new_world(br)
-        self._add(br, w0, root, 0)
-        return self.search(br)
-
     def extract(self, br, original: Formula, requirements) -> KripkeModel:
         rel = {}
         for agent in self.agents:
@@ -437,7 +433,9 @@ def sat(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> Decision
     requirements = frame_class.requirements
     agents = sorted(agents_of(f))
     tab = _Tableau(requirements, agents, budget)
-    open_branch = tab.solve(tab.nnf(f, False))
+    root, br = tab.nnf(f, False), _Branch()  # nnf ticks before the root world does
+    tab._add(br, tab._new_world(br), root, 0)
+    open_branch = tab.search(br)
     if isinstance(open_branch, int):
         return DecisionResult(False, None, tab.prefixes, tab.branches)
     model = tab.extract(open_branch, f, requirements)

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .formula import (
     TOP,
+    _IDENT_RE,
     And,
     Announce,
     Bot,
@@ -447,8 +448,9 @@ def _read(system: ProofSystem, d: Derivation, step: Step) -> tuple:
                 values.append(parse(" ".join(tokens[at:at + n])))
             except ValueError as e:
                 raise DerivationError(step.index, f"bad formula argument: {e}") from None
-        elif kind == "var" and not re.fullmatch(r"[a-z][a-z0-9_]*", tokens[at]):
-            raise DerivationError(step.index, f"bad variable {tokens[at]!r}")
+        elif kind in ("var", "agent") and not _IDENT_RE.match(tokens[at]):
+            noun = "variable" if kind == "var" else "agent"
+            raise DerivationError(step.index, f"bad {noun} {tokens[at]!r}")
         else:
             values.append(tokens[at])
         at += n

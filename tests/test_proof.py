@@ -386,6 +386,39 @@ def test_wrong_token_count_is_rejected_with_usage(justification, usage):
     assert str(exc.value) == f"step 2: {usage}"
 
 
+@pytest.mark.parametrize("system, lines, message", [
+    ("PLKw", [("p <-> p", "taut"), ("q", "sub 1 (q & 1")],
+     "step 2: bad formula argument: unexpected end of input at offset 4 "
+     "(expected ~, [, (, Kw, K, top, bot, proposition)"),
+    ("PLKw", [("p <-> p", "taut"), ("q", "sub 1 q Q")], "step 2: bad variable 'Q'"),
+    ("Ig", [("p -> p", "taut"), ("q", "ri 1 q")],
+     "step 2: conclusion must start with Kw[<agent>]"),
+], ids=["formula", "variable", "ri-conclusion"])
+def test_malformed_argument_messages(system, lines, message):
+    with pytest.raises(DerivationError) as exc:
+        _check_lines(system, lines)
+    assert str(exc.value) == message
+
+
+def test_agent_argument_must_be_an_agent_name():
+    # the constructors take any agent string, so the checker must not certify
+    # Kw[1](p | ~p), which parse_derivation would refuse to read back
+    bad = Derivation("PLKw", (Step(1, parse("p | ~p"), "taut"),
+                              Step(2, Kw("1", parse("p | ~p")), "neckw 1 1")))
+    with pytest.raises(DerivationError) as exc:
+        check_derivation(bad)
+    assert (exc.value.index, str(exc.value)) == (2, "step 2: bad agent '1'")
+
+
+def test_empty_justification_and_missing_header():
+    with pytest.raises(DerivationError) as exc:
+        check_derivation(parse_derivation("system PLKw\n\n1. p | ~p ;\n"))
+    assert (exc.value.index, str(exc.value)) == (1, "step 1: empty justification")
+    with pytest.raises(ValueError) as info:
+        parse_derivation("")
+    assert str(info.value) == "missing 'system <name>' header"
+
+
 def test_step_index_must_be_its_position():
     # line 1 would resolve to the step itself
     with pytest.raises(DerivationError) as exc:

@@ -110,6 +110,13 @@ def test_model_validation_errors():
         assert str(info.value) == text, args
 
 
+def test_mc_at_an_unknown_world():
+    model = KripkeModel(["s"], ["i"], {}, {})
+    with pytest.raises(ModelError) as info:
+        mc(model, "x", parse("p"))
+    assert str(info.value) == "unknown world 'x'"
+
+
 def test_json_round_trip():
     for name, build in FIXTURES.items():
         m = build()
