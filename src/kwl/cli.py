@@ -12,9 +12,9 @@ import argparse
 import functools
 import sys
 
-from .decide import BudgetExceeded, sat, valid
+# Each command imports the modules it runs, so that a process loads only those:
+# kwl mc and kwl frame need no tableau, rewriter or proof checker.
 from .formula import ParseError, fold, parse, render
-from .proof import DerivationError, StepUndecided, check_derivation, load_derivation
 from .semantics import (
     FrameClass,
     FrameProperty,
@@ -23,7 +23,6 @@ from .semantics import (
     load_model,
     mc,
 )
-from .translate import el_to_kw, kw_to_el, reduce
 
 
 _OUTPUT_CAP = 1 << 23  # the most nodes, as a tree, that kwl reduce and kwl translate print
@@ -75,25 +74,38 @@ def cmd_mc(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    """kwl decide and kwl sat: print the answer, and write the model that
-    comes with an invalid (a countermodel) or a satisfiable verdict."""
+    """kwl decide and kwl sat: write the model that comes with an invalid (a
+    countermodel) or a satisfiable verdict, then print the answer."""
+    from .decide import BudgetExceeded, sat, valid
+
     f = _parse_formula(args.formula)
     cls = _frame_class(args.frame_class)
-    if args.command == "decide":
-        r = valid(f, cls, budget=args.budget)
-        positive, model, yes, no = r.valid, r.countermodel, "valid", "invalid"
-    else:
-        r = sat(f, cls, budget=args.budget)
-        positive, model, yes, no = r.satisfiable, r.model, "satisfiable", "unsatisfiable"
-    print(yes if positive else no)
+    try:
+        if args.command == "decide":
+            r = valid(f, cls, budget=args.budget)
+            positive, model, kind, yes, no = (r.valid, r.countermodel, "countermodel",
+                                              "valid", "invalid")
+        else:
+            r = sat(f, cls, budget=args.budget)
+            positive, model, kind, yes, no = (r.satisfiable, r.model, "model",
+                                              "satisfiable", "unsatisfiable")
+    except BudgetExceeded as exc:
+        print(f"kwl: {exc}", file=sys.stderr)
+        return 3
     if model is not None and args.model_path:
-        with open(args.model_path, "w") as fh:
-            fh.write(model.to_json())
+        try:
+            with open(args.model_path, "w") as fh:
+                fh.write(model.to_json())
+        except OSError as exc:
+            raise _UsageError(f"cannot write {kind} {args.model_path}: {exc}") from exc
+    print(yes if positive else no)
     return 0 if positive else 1
 
 
 def cmd_rewrite(args) -> int:
     """kwl reduce and kwl translate: print the rewritten formula if it fits the cap."""
+    from .translate import el_to_kw, kw_to_el, reduce
+
     f = _parse_formula(args.formula)
     rewrite = (reduce if args.command == "reduce"
                else kw_to_el if args.direction == "t" else el_to_kw)
@@ -111,6 +123,8 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .proof import DerivationError, StepUndecided, check_derivation, load_derivation
+
     try:
         d = load_derivation(args.proof)
     except (OSError, UnicodeDecodeError) as exc:
@@ -137,7 +151,7 @@ def cmd_frame(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    from .fixtures import verify_fixtures  # here, so that no other command loads the fixtures
+    from .fixtures import verify_fixtures
 
     for claim in verify_fixtures():
         print(claim)
@@ -204,9 +218,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"kwl: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
-        print(f"kwl: {exc}", file=sys.stderr)
-        return 3
     except RecursionError:
         print("kwl: input too deeply nested", file=sys.stderr)
         return 2

@@ -116,15 +116,15 @@ def _broken(*args, **kwargs):
 
 
 def test_internal_error_is_exit_2(capsys, monkeypatch):
-    run(capsys, "decide", "p")  # the parser is built before the rebinding
-    monkeypatch.setattr("kwl.cli.valid", _broken)
+    run(capsys, "decide", "p")  # the parser and kwl.decide exist before the patch
+    monkeypatch.setattr("kwl.decide.valid", _broken)
     code, out, err = run(capsys, "decide", "p")
     assert (code, out, err) == (2, "", "kwl: internal error: boom\n")
 
 
 def test_internal_error_in_sat_is_exit_2(capsys, monkeypatch):
     run(capsys, "sat", "p")
-    monkeypatch.setattr("kwl.cli.sat", _broken)
+    monkeypatch.setattr("kwl.decide.sat", _broken)
     code, out, err = run(capsys, "sat", "p")
     assert (code, out, err) == (2, "", "kwl: internal error: boom\n")
 
@@ -133,6 +133,24 @@ def test_extraction_fault_carries_one_prefix(capsys, monkeypatch):
     monkeypatch.setattr("kwl.decide.mc", lambda *args: False)
     code, out, err = run(capsys, "decide", "p")
     assert (code, out, err) == (2, "", "kwl: internal error: extracted model fails ~p\n")
+
+
+def test_extracted_model_outside_the_class_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr("kwl.decide._has_properties", lambda *args: False)
+    code, out, err = run(capsys, "decide", "p")
+    assert (code, out, err) == (
+        2, "", "kwl: internal error: extracted model leaves the frame class\n")
+
+
+def test_unwritable_model_path_is_an_input_error(capsys, tmp_path):
+    missing = tmp_path / "missing" / "x.json"
+    for argv, path, what in ((("sat", "p", "--model", str(missing)), missing, "model"),
+                             (("decide", "Kw[i]p", "--countermodel", str(tmp_path)), tmp_path,
+                              "countermodel")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"kwl: cannot write {what} {path}: [Errno "), argv
+        assert err.count("\n") == 1, argv
 
 
 def test_sat(capsys, tmp_path):

@@ -419,6 +419,20 @@ def test_empty_justification_and_missing_header():
     assert str(info.value) == "missing 'system <name>' header"
 
 
+def test_header_only_derivation_has_no_steps():
+    with pytest.raises(DerivationError) as exc:
+        check_derivation(parse_derivation("system PLKw\n"))
+    assert (exc.value.index, str(exc.value)) == (0, "derivation has no steps")
+
+
+def test_schema_letter_matches_only_itself():
+    # no schema in AXIOMS holds a letter that is not a metavariable, but
+    # _match would be unsound if one matched any letter
+    schema = Implies(Prop("p"), Prop("PHI"))
+    assert kwl.proof._match(schema, parse("p -> q"), {})
+    assert not kwl.proof._match(schema, parse("r -> q"), {})
+
+
 def test_step_index_must_be_its_position():
     # line 1 would resolve to the step itself
     with pytest.raises(DerivationError) as exc:

@@ -117,6 +117,18 @@ def test_mc_at_an_unknown_world():
     assert str(info.value) == "unknown world 'x'"
 
 
+def test_successors_of_an_unknown_agent_or_world():
+    assert m1().successors("i", "s") == {"s", "t"}
+    assert m1().successors("j", "s") == frozenset()
+    assert m1().successors("i", "u") == frozenset()
+
+
+def test_model_equality_and_repr():
+    assert m1() == m1() and m1() != "m1"
+    assert repr(m1()) == ("KripkeModel(worlds=['s', 't'], agents=['i'], "
+                          "rel={'i': [('s', 's'), ('s', 't')]}, val={'q': ['t']})")
+
+
 def test_json_round_trip():
     for name, build in FIXTURES.items():
         m = build()
