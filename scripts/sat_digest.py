@@ -3,15 +3,15 @@
 Draws seeded random formulas of the Kw language (PLKw), the Kw language with
 K (PLKwK) and the Kw language with announcements (PLKwA) with the test
 suite's generator, asks sat about each and its negation over the ten frame
-classes at the given budget (so the negations' answers are valid's), and
-prints one SHA-256 digest of every call's verdict, prefix and branch counts,
-model as compact JSON, or exception type and text.  Two checkouts that print
-the same digest gave the same answers with the same work.  The summary line
-also gives the budget ticks that the calls took in all (the sum of each
-tableau's work), which the digest leaves out.  Standard library only; run
-from the repository root:
+classes at sat's default budget BUDGET (10^6; the negations' answers are
+valid's), and prints one SHA-256 digest of every call's verdict, prefix and
+branch counts, model as compact JSON, or exception type and text.  Two
+checkouts that print the same digest gave the same answers with the same
+work.  The summary line also gives the budget ticks that the calls took in
+all (the sum of each tableau's work), which the digest leaves out.
+Standard library only; run from the repository root:
 
-    PYTHONPATH=src:tests python3 scripts/sat_digest.py [--budget N] [--out FILE]
+    PYTHONPATH=src:tests python3 scripts/sat_digest.py [--out FILE]
 
 When two digests differ, --out FILE writes the per-call records, one a line,
 so that diff lists the calls that differ.
@@ -32,6 +32,7 @@ from kwl.formula import Language, Not, render
 from kwl.semantics import FrameClass
 
 SEED = 0
+BUDGET = 10**6
 FORMULAS = 1200  # a third per language; with negations and classes, 24,000 calls
 LANGUAGES = (Language.PLKw, Language.PLKwK, Language.PLKwA)
 
@@ -44,11 +45,11 @@ class _Counted(decide._Tableau):
         tableaux.append(self)
 
 
-def record(f, frame_class: FrameClass, budget: int) -> str:
+def record(f, frame_class: FrameClass) -> str:
     """One call's line: the formula, the class, and what sat answered."""
     head = f"{render(f)}\t{frame_class.value}\t"
     try:
-        r = sat(f, frame_class, budget=budget)
+        r = sat(f, frame_class, budget=BUDGET)
     except Exception as exc:  # an exception is an answer to digest too
         return head + f"raises {type(exc).__name__}: {exc}"
     model = "-" if r.model is None else json.dumps(r.model.to_dict(), separators=(",", ":"))
@@ -57,8 +58,6 @@ def record(f, frame_class: FrameClass, budget: int) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--budget", type=int, default=10**6,
-                        help="sat's work budget (default 1000000)")
     parser.add_argument("--out", help="write the per-call records to this file")
     args = parser.parse_args(argv)
 
@@ -72,7 +71,7 @@ def main(argv=None) -> int:
                            agents=("i", "j"), lang=LANGUAGES[n % len(LANGUAGES)])
         for g in (f, Not(f)):
             for frame_class in FrameClass:
-                line = record(g, frame_class, args.budget)
+                line = record(g, frame_class)
                 digest.update(line.encode() + b"\n")
                 lines.append(line)
                 raised += "\traises " in line
@@ -83,7 +82,7 @@ def main(argv=None) -> int:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     print(f"calls {len(lines)}  satisfiable {satisfiable}  raised {raised}  "
-          f"budget {args.budget}  ticks {ticks}")
+          f"budget {BUDGET}  ticks {ticks}")
     print(f"sha256 {digest.hexdigest()}")
     return 0
 

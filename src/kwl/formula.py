@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 from weakref import ref
 
 # The intern table: (class, *fields) -> a weak reference to the one node with
@@ -429,8 +429,6 @@ _TOKEN_RE = re.compile(
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
-_RESERVED = {"top", "bot", "Kw", "K"}
-
 
 class ParseError(ValueError):
     """Syntax error carrying the byte offset and the expected-token set."""
@@ -463,11 +461,9 @@ class _Parser:
     prefixes ~, Kw[i], K[i] and [f].  A parenthesis costs two stack frames.
     """
 
-    def __init__(self, toks, props, agents):
+    def __init__(self, toks):
         self.toks = toks
         self.pos = 0
-        self.props = props
-        self.agents = agents
 
     def peek(self):
         return self.toks[self.pos]
@@ -500,8 +496,6 @@ class _Parser:
         name = tok[1]
         if not _IDENT_RE.match(name):
             raise ParseError(f"bad agent name {name!r}", tok[2], ("agent name",))
-        if self.agents is not None and name not in self.agents:
-            raise ParseError(f"unknown agent {name!r}", tok[2])
         return name
 
     def unary(self) -> Formula:
@@ -533,17 +527,14 @@ class _Parser:
                 return BOT
             if not _IDENT_RE.match(text):
                 raise ParseError(f"bad proposition name {text!r}", offset)
-            if self.props is not None and text not in self.props:
-                raise ParseError(f"unknown proposition {text!r}", offset)
             return Prop(text)
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input",
                          offset, ("~", "[", "(", "Kw", "K", "top", "bot", "proposition"))
 
 
-def parse(text: str, *, props: Optional[set] = None, agents: Optional[set] = None) -> Formula:
-    """Parse the ASCII syntax.  props/agents, when given, restrict the
-    identifiers accepted (a declared-symbol session)."""
-    parser = _Parser(_tokenize(text), props, agents)
+def parse(text: str) -> Formula:
+    """Parse the ASCII syntax into a formula."""
+    parser = _Parser(_tokenize(text))
     f = parser.formula()
     tok = parser.peek()
     if tok[0] != "eof":

@@ -74,7 +74,6 @@ _CLASS_REQUIREMENTS = {
     FrameClass.S5: frozenset({_P.REFLEXIVE, _P.EUCLIDEAN}),
     FrameClass.PF: frozenset({_P.PARTIAL_FUNCTIONAL}),
 }
-_EMPTY: frozenset[str] = frozenset()
 
 
 class ModelError(ValueError):
@@ -139,10 +138,7 @@ class KripkeModel:
         self._space = _Space(n, succ, pred, masks)
 
     def successors(self, agent: str, world: str) -> frozenset[str]:
-        rel, k = self._space.succ.get(agent), self._index.get(world)
-        if rel is None or k is None:
-            return _EMPTY
-        return frozenset(w for j, w in enumerate(self.worlds) if rel[k] >> j & 1)
+        return frozenset(t for s, t in self.rel.get(agent, ()) if s == world)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KripkeModel):
@@ -296,10 +292,10 @@ def _ext(sp: _Space, f: Formula, ws: int, dom: int, memo: dict) -> int:
     """The worlds of ws where f holds in the submodel on the worlds dom
     (ws <= dom).  The right side of And/Or/Implies is evaluated on the
     worlds its left side leaves open, the argument of K[i]/Kw[i] once on
-    all successors of ws, the body of [a]b under the domain dom & ext(a).
-    memo maps (K/Kw node or announced formula, dom) to (worlds asked,
-    worlds found true), for one top-level call, so that no world is asked
-    twice."""
+    all successors of ws.  The announced formula a of [a]b is asked once on
+    the whole of dom, and the body b under the domain dom & ext(a).  memo
+    maps (K/Kw node or announced formula, dom) to (worlds asked, worlds
+    found true), for one top-level call, so that no world is asked twice."""
     if not ws:
         return ws
     # an if-chain on the exact type: class patterns in a match cost twice as much
@@ -346,14 +342,10 @@ def _ext(sp: _Space, f: Formula, ws: int, dom: int, memo: dict) -> int:
     if kind is Announce:
         key = (f.announced, dom)
         asked, true = memo.get(key, _UNASKED)
-        if ws & ~asked:
-            true |= _ext(sp, f.announced, ws & ~asked, dom, memo)
-            asked |= ws
-        held = ws & true
-        if held and asked != dom:  # the body needs the whole new domain
+        if asked != dom:  # K/Kw may have left the entry partial
             true |= _ext(sp, f.announced, dom & ~asked, dom, memo)
-            asked = dom
-        memo[key] = (asked, true)
+            memo[key] = (dom, true)
+        held = ws & true
         return ws & ~held | _ext(sp, f.body, held, true, memo)
     raise TypeError(f"not a formula: {f!r}")
 

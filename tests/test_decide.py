@@ -199,7 +199,7 @@ def test_preprocessing_shares_copied_subformulas(nodes_built):
     assert len(nodes_built) < 400
 
 
-def test_announcements_with_k_rejected():
+def test_announcements_with_k_are_decided():
     # sat and valid once rejected announcements together with K; both now
     # decide them, with re-checked models
     r = sat(parse("[p]K[i]q"), FrameClass.K)

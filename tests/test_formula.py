@@ -91,15 +91,6 @@ def test_parse_errors():
     assert err is not None and err.offset == 8
 
 
-def test_parse_vocab_restriction():
-    assert parse("p & q", props={"p", "q"}) == And(P, Q)
-    with pytest.raises(ParseError):
-        parse("p & r", props={"p", "q"})
-    with pytest.raises(ParseError):
-        parse("Kw[j]p", agents={"i"})
-    assert parse("Kw[i]p", props={"p"}, agents={"i"}) == Kw("i", P)
-
-
 def test_render_pins():
     assert render(parse("p & q | r")) == "p & q | r"
     assert render(And(Or(P, Q), R)) == "(p | q) & r"

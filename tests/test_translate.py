@@ -126,7 +126,7 @@ def test_reduce_pins():
         assert render(reduce(parse(source))) == expected
 
 
-def test_reduce_rejects_k():
+def test_reduce_rewrites_k():
     # reduce once rejected K; it now rewrites [a]K[i]b to a -> K[i][a]b
     assert render(reduce(parse("[p]K[i]q"))) == "p -> K[i](p -> q)"
     assert render(reduce(parse("K[i]p"))) == "K[i]p"
