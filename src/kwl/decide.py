@@ -6,7 +6,8 @@ reduction axiom (kwl.translate.step) and the pass goes on with the result,
 so no announcement-free copy is built first.  Kw[i]g becomes K[i]g | K[i]~g
 in general, and top over partial-functional frames, where it holds
 everywhere.  A tableau then searches for a model; a satisfiable verdict
-carries one, re-checked against the original formula by the model checker.
+carries one, re-checked against the original formula by the model checker
+and with satisfies_class against the frame class.
 
 Each world but the root is made by one diamond of its parent, so the edges
 form a tree, and a box moves along it one edge at a time by single-step
@@ -65,8 +66,8 @@ from .semantics import (
     FrameClass,
     FrameProperty,
     KripkeModel,
-    _has_properties,
     mc,
+    satisfies_class,
 )
 from .translate import step
 
@@ -139,7 +140,9 @@ class _Tableau:
     """One call's search.  work is counted against the budget, preprocessing
     included: one tick per new world, label entry and NNF memo entry."""
 
-    def __init__(self, props, agents, budget):
+    def __init__(self, frame_class, agents, budget):
+        props = frame_class.requirements
+        self.frame_class = frame_class
         self.agents = agents
         self.budget = budget
         self.pf = FrameProperty.PARTIAL_FUNCTIONAL in props
@@ -388,7 +391,7 @@ class _Tableau:
                 self.branches += 1
                 return br
 
-    def extract(self, br, original: Formula, requirements) -> KripkeModel:
+    def extract(self, br, original: Formula) -> KripkeModel:
         rel = {}
         for agent in self.agents:
             # a blocked world keeps its own successors and borrows its blocker's
@@ -401,7 +404,7 @@ class _Tableau:
         model = KripkeModel([f"w{w}" for w in br.labels], self.agents, rel, val, point="w0")
         if not mc(model, "w0", original):
             raise RuntimeError(f"extracted model fails {original}")
-        if not _has_properties(model, requirements):
+        if not satisfies_class(model, self.frame_class):
             raise RuntimeError("extracted model leaves the frame class")
         return model
 
@@ -430,15 +433,13 @@ class _Tableau:
 
 def sat(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> DecisionResult:
     """Satisfiability of f over the class; a SAT verdict carries a verified model."""
-    requirements = frame_class.requirements
-    agents = sorted(agents_of(f))
-    tab = _Tableau(requirements, agents, budget)
+    tab = _Tableau(frame_class, sorted(agents_of(f)), budget)
     root, br = tab.nnf(f, False), _Branch()  # nnf ticks before the root world does
     tab._add(br, tab._new_world(br), root, 0)
     open_branch = tab.search(br)
     if isinstance(open_branch, int):
         return DecisionResult(False, None, tab.prefixes, tab.branches)
-    model = tab.extract(open_branch, f, requirements)
+    model = tab.extract(open_branch, f)
     return DecisionResult(True, model, tab.prefixes, tab.branches)
 
 

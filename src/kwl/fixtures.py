@@ -97,19 +97,8 @@ def g4() -> KripkeModel:
                        {"p": ["t"], "q": ["t", "u"]})
 
 
-FIXTURES = {
-    "m1": m1,
-    "pair_serial_m": pair_serial_m,
-    "pair_serial_n": pair_serial_n,
-    "pair_sym_m": pair_sym_m,
-    "pair_sym_n": pair_sym_n,
-    "f1": f1,
-    "f2": f2,
-    "m27": m27,
-    "n28": n28,
-    "announce": announce,
-    "g4": g4,
-}
+FIXTURES = {build.__name__: build for build in (
+    m1, pair_serial_m, pair_serial_n, pair_sym_m, pair_sym_n, f1, f2, m27, n28, announce, g4)}
 
 
 G4_INSTANCE = ("~Kw[i]p -> (Kw[i]q & ~Kw[i](q & p) -> "

@@ -10,6 +10,7 @@ normalise them away.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -224,22 +225,13 @@ _UNARY = len(_CONNECTIVES)  # the level of every other node
 
 
 def conj(parts: Sequence[Formula]) -> Formula:
-    """Left-associated conjunction of a non-empty-or-empty sequence."""
-    if not parts:
-        return TOP
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    """Left-associated conjunction of the parts; top when there are none."""
+    return functools.reduce(And, parts) if parts else TOP
 
 
 def disj(parts: Sequence[Formula]) -> Formula:
-    if not parts:
-        return BOT
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    """Left-associated disjunction of the parts; bot when there are none."""
+    return functools.reduce(Or, parts) if parts else BOT
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:

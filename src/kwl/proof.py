@@ -410,10 +410,10 @@ _SHAPES = {
     "wm": ("line",),
 }
 _WIDE = {"lines", "formula"}  # the kinds that take one token or more
-# rule -> its shape, the fewest and the most tokens of a justification by the
-# rule (its name included), and whether each argument is read as its own token
-_ARITY = {rule: (shape, len(shape) + 1, len(shape) + 1 if _WIDE.isdisjoint(shape) else math.inf,
-                 set(shape) <= {"name", "agent"}) for rule, shape in _SHAPES.items()}
+# rule -> its shape, and the fewest and the most tokens of a justification by
+# the rule (its name included)
+_ARITY = {rule: (shape, len(shape) + 1, len(shape) + 1 if _WIDE.isdisjoint(shape) else math.inf)
+          for rule, shape in _SHAPES.items()}
 
 
 def _read(system: ProofSystem, d: Derivation, step: Step) -> tuple:
@@ -426,11 +426,9 @@ def _read(system: ProofSystem, d: Derivation, step: Step) -> tuple:
     rule = tokens[0].lower()
     if rule != "axiom" and rule not in system.rules:  # axioms are gated by name
         raise DerivationError(step.index, f"rule {rule!r} is not available in {system.name}")
-    shape, least, most, plain = _ARITY[rule]
+    shape, least, most = _ARITY[rule]
     if not least <= len(tokens) <= most:
         raise DerivationError(step.index, " ".join(["usage:", rule, *(f"<{k}>" for k in shape)]))
-    if plain:  # nothing to convert: taut and axiom, the commonest steps, skip the loop
-        return rule, tokens[1:]
     values = []
     at, wide = 1, len(tokens) - least + 1  # the tokens a wide argument takes
     for kind in shape:

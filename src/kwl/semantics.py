@@ -81,11 +81,12 @@ class ModelError(ValueError):
 
 
 class KripkeModel:
-    """Finite pointed-less Kripke model.
+    """Finite Kripke model, with an optional point.
 
     worlds: ordered, duplicate-free world names.
     rel: agent -> set of (source, target) pairs.
     val: proposition -> set of worlds where it is true.
+    point: an optional designated world, such as a countermodel's root.
     Order of the worlds list is preserved through JSON round trips so that
     countermodels print stably.  The evaluator reads the same relations and
     valuation as masks over world indices (bit k is worlds[k]), built with
@@ -155,7 +156,7 @@ class KripkeModel:
     # -- JSON ----------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        order = {w: n for n, w in enumerate(self.worlds)}
+        order = self._index
         doc = {
             "worlds": list(self.worlds),
             "agents": list(self.agents),

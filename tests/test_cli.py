@@ -136,7 +136,7 @@ def test_extraction_fault_carries_one_prefix(capsys, monkeypatch):
 
 
 def test_extracted_model_outside_the_class_is_an_internal_error(capsys, monkeypatch):
-    monkeypatch.setattr("kwl.decide._has_properties", lambda *args: False)
+    monkeypatch.setattr("kwl.decide.satisfies_class", lambda *args: False)
     code, out, err = run(capsys, "decide", "p")
     assert (code, out, err) == (
         2, "", "kwl: internal error: extracted model leaves the frame class\n")

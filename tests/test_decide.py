@@ -18,6 +18,7 @@ from helpers import (
     reference_mc,
 )
 from kwl.decide import BudgetExceeded, DecisionResult, Validity, _Dia, _Tableau, sat, valid
+from kwl.fixtures import m1
 from kwl.formula import (
     Announce,
     Formula,
@@ -34,7 +35,7 @@ from kwl.formula import (
 )
 from kwl.proof import gen_prop19
 from kwl.semantics import FrameClass, frame_properties, mc, model_valid, satisfies_class
-from kwl.translate import reduce
+from kwl.translate import reduce, step
 
 # formula, class, expected validity
 BATTERY = [
@@ -397,7 +398,7 @@ def nnf_inputs():
 
 def _nnf(f, neg, pf):
     """The negation normal form that one call of sat would build."""
-    return _Tableau((FrameClass.PF if pf else FrameClass.K).requirements, [], 10**6).nnf(f, neg)
+    return _Tableau(FrameClass.PF if pf else FrameClass.K, [], 10**6).nnf(f, neg)
 
 
 def _undia(f):
@@ -405,6 +406,17 @@ def _undia(f):
     if isinstance(f, _Dia):
         return Not(K(f.agent, Not(_undia(f.sub))))
     return f.map(_undia)
+
+
+def test_walks_reject_what_is_not_a_formula():
+    """Each walk over formulas ends in a TypeError on a node it does not know:
+    a string, or the tableau's private diamond outside the tableau."""
+    for call in (lambda: mc(m1(), "s", "p"),
+                 lambda: render(_Dia("i", Prop("p"))),
+                 lambda: step(Announce(Prop("p"), _Dia("i", Prop("p")))),
+                 lambda: _Tableau(FrameClass.K, [], 10).nnf("p", False)):
+        with pytest.raises(TypeError, match="not a formula"):
+            call()
 
 
 @pytest.mark.parametrize("pf", [False, True])
