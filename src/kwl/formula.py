@@ -538,7 +538,8 @@ def parse(text: str) -> Formula:
 # rendering
 
 def render(f: Formula) -> str:
-    """Minimal-parenthesis concrete syntax; parse(render(f)) == f.
+    """Minimal-parenthesis concrete syntax; parse(render(f)) == f for every f
+    that parse can return (not for Prop("top"), which parses back as TOP).
 
     One loop over a stack of pending pieces, each literal text or a
     subformula with the level of its enclosing connective, which is written

@@ -5,12 +5,13 @@ ATOM) as metavariables and the uppercase agent I; the concrete syntax only
 admits lowercase identifiers, so instances can never collide with schema
 variables.  A derivation file declares its proof system, then numbered
 steps `k. <formula> ; <justification>`; every justification cites earlier
-lines only and is replayed from scratch by the checker.
+lines only and is replayed from scratch by the checker.  Each rule is one
+function that reads all of its arguments, in order, before any check of the
+rule's own, so the first faulty argument is the one reported.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -393,69 +394,37 @@ def format_derivation(d: Derivation) -> str:
 
 # ---------------------------------------------------------------------------
 # checking
-
-# The arguments each justification takes, in order.  A line cites an earlier
-# step and lines cite one or more; an agent, a var (a proposition letter) and
-# a name (of an axiom) are one token each; a formula takes the tokens that
-# the other arguments leave.
-_SHAPES = {
-    "axiom": ("name",),
-    "taut": (),
-    "pc": ("lines",),
-    "mp": ("line", "line"),
-    "neckw": ("line", "agent"),
-    "rekw": ("line", "agent"),
-    "sub": ("line", "formula", "var"),
-    "ri": ("line", "formula"),
-    "wm": ("line",),
-}
-_WIDE = {"lines", "formula"}  # the kinds that take one token or more
-# rule -> its shape, and the fewest and the most tokens of a justification by
-# the rule (its name included)
-_ARITY = {rule: (shape, len(shape) + 1, len(shape) + 1 if _WIDE.isdisjoint(shape) else math.inf)
-          for rule, shape in _SHAPES.items()}
+#
+# Each rule is one function (system, d, step, *words) -> Formula.  It reads
+# its arguments in the order _SHAPES lists them, runs its own check and
+# returns the one formula that the step may state: the step's own for axiom,
+# taut, pc and mp, the licensed conclusion for the other rules.
 
 
-def _read(system: ProofSystem, d: Derivation, step: Step) -> tuple:
-    """The step's rule, and one value per argument of the rule's shape: the
-    formula of a cited step (a list of them for lines), a parsed formula, or
-    the token itself."""
-    tokens = step.justification.replace(",", " ").split()
-    if not tokens:
-        raise DerivationError(step.index, "empty justification")
-    rule = tokens[0].lower()
-    if rule != "axiom" and rule not in system.rules:  # axioms are gated by name
-        raise DerivationError(step.index, f"rule {rule!r} is not available in {system.name}")
-    shape, least, most = _ARITY[rule]
-    if not least <= len(tokens) <= most:
-        raise DerivationError(step.index, " ".join(["usage:", rule, *(f"<{k}>" for k in shape)]))
-    values = []
-    at, wide = 1, len(tokens) - least + 1  # the tokens a wide argument takes
-    for kind in shape:
-        n = wide if kind in _WIDE else 1
-        if kind == "line" or kind == "lines":
-            cited = []
-            for word in tokens[at:at + n]:
-                r = int(word) if word.isdecimal() else 0
-                if not 0 < r < step.index:
-                    raise DerivationError(step.index, f"line {word} is not an earlier step")
-                cited.append(d.steps[r - 1].formula)
-            values.append(cited if kind == "lines" else cited[0])
-        elif kind == "formula":
-            try:
-                values.append(parse(" ".join(tokens[at:at + n])))
-            except ValueError as e:
-                raise DerivationError(step.index, f"bad formula argument: {e}") from None
-        elif kind in ("var", "agent") and not _IDENT_RE.match(tokens[at]):
-            noun = "variable" if kind == "var" else "agent"
-            raise DerivationError(step.index, f"bad {noun} {tokens[at]!r}")
-        else:
-            values.append(tokens[at])
-        at += n
-    return rule, values
+def _line(d: Derivation, step: Step, word: str) -> Formula:
+    """The formula of the earlier step that word cites."""
+    r = int(word) if word.isdecimal() else 0
+    if not 0 < r < step.index:
+        raise DerivationError(step.index, f"line {word} is not an earlier step")
+    return d.steps[r - 1].formula
 
 
-def _taut(step, f, what):
+def _name(step: Step, word: str, noun: str) -> str:
+    """word, when it names an agent or a variable.  top and bot are not
+    variables: parse reads them as constants, never as propositions."""
+    if not _IDENT_RE.match(word) or noun == "variable" and word in ("top", "bot"):
+        raise DerivationError(step.index, f"bad {noun} {word!r}")
+    return word
+
+
+def _formula(step: Step, words) -> Formula:
+    try:
+        return parse(" ".join(words))
+    except ValueError as e:
+        raise DerivationError(step.index, f"bad formula argument: {e}") from None
+
+
+def _tautology(step: Step, f: Formula, what: str):
     try:
         ok = is_bool_taut(f)
     except ValueError as e:
@@ -464,7 +433,12 @@ def _taut(step, f, what):
         raise DerivationError(step.index, what)
 
 
-def _check_axiom(system: ProofSystem, step: Step, name: str):
+def _equivalence(step: Step, g: Formula):
+    if not isinstance(g, Iff):
+        raise DerivationError(step.index, "the cited line is not an equivalence")
+
+
+def _axiom(system, d, step, name):
     name = _AXIOM_ALIASES.get(name, name)
     if name not in system.axioms:
         raise DerivationError(step.index, f"axiom {name} is not part of {system.name}"
@@ -475,30 +449,78 @@ def _check_axiom(system: ProofSystem, step: Step, name: str):
         hint = f" (it is an instance of {', '.join(sorted(near))})" if near else \
                f" (schema: {render(AXIOMS[name])})"
         raise DerivationError(step.index, f"not an instance of {name}{hint}")
+    return step.formula
 
 
-def _conclusion(step: Step, rule: str, args: list) -> Formula:
-    """The one formula that a neckw, rekw, sub, ri or wm step may conclude."""
-    f, g = step.formula, args[0]
-    if rule in ("rekw", "sub") and not isinstance(g, Iff):
-        raise DerivationError(step.index, "the cited line is not an equivalence")
-    if rule == "neckw":
-        return Kw(args[1], g)
-    if rule == "rekw":
-        return Iff(Kw(args[1], g.left), Kw(args[1], g.right))
-    if rule == "sub":
-        _, context, var = args
-        return Iff(substitute(context, var, g.left), substitute(context, var, g.right))
-    if rule == "ri":
-        if not (isinstance(f, And) and isinstance(f.left, Kw)):
-            raise DerivationError(step.index, "conclusion must start with Kw[<agent>]")
-        kw = lambda h: Kw(f.left.agent, h)
-        return And(kw(g), Implies(Not(kw(args[1])), Not(kw(And(args[1], g)))))
-    # wm: from Kw[i]f & f -> g infer Kw[i]f & f -> Kw[i]g & g
+def _taut(system, d, step):
+    _tautology(step, step.formula, "not a boolean tautology")
+    return step.formula
+
+
+def _pc(system, d, step, *lines):
+    cited = [_line(d, step, word) for word in lines]
+    _tautology(step, Implies(conj(cited), step.formula),
+               "not a boolean consequence of the cited lines")
+    return step.formula
+
+
+def _mp(system, d, step, first, second):
+    f, g, h = _line(d, step, first), _line(d, step, second), step.formula
+    if g != Implies(f, h) and f != Implies(g, h):
+        raise DerivationError(step.index, "modus ponens does not apply to the cited lines")
+    return h
+
+
+def _neckw(system, d, step, line, agent):
+    f = _line(d, step, line)
+    return Kw(_name(step, agent, "agent"), f)
+
+
+def _rekw(system, d, step, line, agent):
+    g, agent = _line(d, step, line), _name(step, agent, "agent")
+    _equivalence(step, g)
+    return Iff(Kw(agent, g.left), Kw(agent, g.right))
+
+
+def _sub(system, d, step, line, *words):
+    g, context = _line(d, step, line), _formula(step, words[:-1])
+    var = _name(step, words[-1], "variable")
+    _equivalence(step, g)
+    return Iff(substitute(context, var, g.left), substitute(context, var, g.right))
+
+
+def _ri(system, d, step, line, *words):
+    g, h, f = _line(d, step, line), _formula(step, words), step.formula
+    if not (isinstance(f, And) and isinstance(f.left, Kw)):
+        raise DerivationError(step.index, "conclusion must start with Kw[<agent>]")
+    kw = lambda x: Kw(f.left.agent, x)
+    return And(kw(g), Implies(Not(kw(h)), Not(kw(And(h, g)))))
+
+
+def _wm(system, d, step, line):
+    """From Kw[i]f & f -> g infer Kw[i]f & f -> Kw[i]g & g."""
+    g = _line(d, step, line)
     if not (isinstance(g, Implies) and isinstance(g.left, And)
             and isinstance(g.left.left, Kw) and g.left.left.sub == g.left.right):
         raise DerivationError(step.index, "the cited line does not have the shape Kw[i]f & f -> g")
     return Implies(g.left, And(Kw(g.left.left.agent, g.right), g.right))
+
+
+# Each rule's arguments, in order, and its function.  A line cites an earlier
+# step and lines cite one or more; an agent, a var (a proposition letter) and
+# a name (of an axiom) are one token each; a formula takes the tokens that
+# the other arguments leave.
+_SHAPES = {
+    "axiom": (("name",), _axiom),
+    "taut": ((), _taut),
+    "pc": (("lines",), _pc),
+    "mp": (("line", "line"), _mp),
+    "neckw": (("line", "agent"), _neckw),
+    "rekw": (("line", "agent"), _rekw),
+    "sub": (("line", "formula", "var"), _sub),
+    "ri": (("line", "formula"), _ri),
+    "wm": (("line",), _wm),
+}
 
 
 def check_derivation(d: Derivation) -> Formula:
@@ -518,17 +540,18 @@ def check_derivation(d: Derivation) -> Formula:
             raise DerivationError(k, f"step numbered {step.index}, expected {k}")
         if not in_language(f, system.language):
             raise DerivationError(k, f"formula leaves the {system.language.value} language")
-        rule, args = _read(system, d, step)
-        if rule == "axiom":
-            _check_axiom(system, step, args[0])
-        elif rule == "taut":
-            _taut(step, f, "not a boolean tautology")
-        elif rule == "pc":
-            _taut(step, Implies(conj(args[0]), f), "not a boolean consequence of the cited lines")
-        elif rule == "mp":
-            if args[1] != Implies(args[0], f) and args[0] != Implies(args[1], f):
-                raise DerivationError(k, "modus ponens does not apply to the cited lines")
-        elif f != (want := _conclusion(step, rule, args)):
+        tokens = step.justification.replace(",", " ").split()
+        if not tokens:
+            raise DerivationError(k, "empty justification")
+        rule, words = tokens[0].lower(), tokens[1:]
+        if rule != "axiom" and rule not in system.rules:  # axioms are gated by name
+            raise DerivationError(k, f"rule {rule!r} is not available in {system.name}")
+        kinds, licensed = _SHAPES[rule]
+        # lines and formula take one token or more, the other kinds one each
+        if len(words) < len(kinds) or (len(words) > len(kinds)
+                                       and "lines" not in kinds and "formula" not in kinds):
+            raise DerivationError(k, " ".join(["usage:", rule, *(f"<{kind}>" for kind in kinds)]))
+        if f != (want := licensed(system, d, step, *words)):
             raise DerivationError(k, f"expected {render(want)}")
     return d.steps[-1].formula
 

@@ -400,6 +400,55 @@ def test_malformed_argument_messages(system, lines, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("constant", ["top", "bot"])
+def test_sub_variable_is_not_a_constant(constant):
+    # parse reads top and bot as constants, never as propositions, so a
+    # substitution for them would change nothing
+    with pytest.raises(DerivationError) as exc:
+        _check_lines("PLKw", [("(p & q) <-> (q & p)", "taut"), ("p <-> p", f"sub 1 p {constant}")])
+    assert str(exc.value) == f"step 2: bad variable '{constant}'"
+    # as an agent name it stays legal
+    agent = _check_lines("PLKw", [("p -> p", "taut"), (f"Kw[{constant}](p -> p)", f"neckw 1 {constant}")])
+    assert parse(render(agent)) == agent == Kw(constant, parse("p -> p"))
+
+
+# per argument kind, a token that reads, and malformed tokens with the message
+# each earns at step 2
+_GOOD_ARGUMENT = {"line": "1", "lines": "1", "agent": "i", "var": "x", "formula": "p", "name": "KwCon"}
+_BAD_ARGUMENTS = {
+    "line": [("0", "line 0 is not an earlier step"), ("3", "line 3 is not an earlier step")],
+    "agent": [("Q", "bad agent 'Q'")],
+    "var": [("Q", "bad variable 'Q'")],
+    "formula": [("(", "bad formula argument: unexpected end of input at offset 1 "
+                      "(expected ~, [, (, Kw, K, top, bot, proposition)")],
+    "name": [("Q", "unknown axiom 'Q'")],
+}
+_BAD_ARGUMENTS["lines"] = _BAD_ARGUMENTS["line"]
+
+
+def _bad_argument_cases():
+    """Per rule of _SHAPES and position of its shape: valid tokens before the
+    position, a malformed one at it, and malformed ones after it."""
+    for rule, (kinds, _) in kwl.proof._SHAPES.items():
+        for at, kind in enumerate(kinds):
+            later = [_BAD_ARGUMENTS[k][0][0] for k in kinds[at + 1:]]
+            for bad, message in _BAD_ARGUMENTS[kind]:
+                words = [_GOOD_ARGUMENT[k] for k in kinds[:at]] + [bad] + later
+                yield " ".join([rule, *words]), message
+
+
+_BAD_ARGUMENT_CASES = list(_bad_argument_cases())
+
+
+@pytest.mark.parametrize("justification, message", _BAD_ARGUMENT_CASES,
+                         ids=[j for j, _ in _BAD_ARGUMENT_CASES])
+def test_first_malformed_argument_is_reported(justification, message):
+    system = {"ri": "Ig", "wm": "LB"}.get(justification.split()[0], "PLKw")
+    with pytest.raises(DerivationError) as exc:
+        _check_lines(system, [("p -> p", "taut"), ("p -> p", justification)])
+    assert str(exc.value) == f"step 2: {message}"
+
+
 def test_agent_argument_must_be_an_agent_name():
     # the constructors take any agent string, so the checker must not certify
     # Kw[1](p | ~p), which parse_derivation would refuse to read back
