@@ -155,6 +155,7 @@ class _Tableau:
         self.branches = 0
         self.work = 0
         self.nnf_memo: dict = {}
+        self.complements: dict = {}  # a disjunction -> its disjuncts' normal-form negations
 
     def _tick(self):
         self.work += 1
@@ -278,27 +279,28 @@ class _Tableau:
             w, f = br.det.popleft()
             labs = br.labels[w]
             mask = labs[f]
-            match f:
-                case Bot():
-                    return mask
-                case Prop(_):
-                    other = labs.get(Not(f))
-                    if other is not None:
-                        return mask | other
-                case Not(sub):
-                    other = labs.get(sub)
-                    if other is not None:
-                        return mask | other
-                case And(a, b):
-                    self._add(br, w, a, mask)
-                    self._add(br, w, b, mask)
-                case Or(_, _):
-                    br.splits.append((w, f))
-                case K(agent, _):
-                    br.boxes.setdefault((w, agent), {})[f] = mask
-                    self._move_box(br, w, f, mask)
-                case _Dia():
-                    br.dias[w].append(f)
+            # an if-chain on the exact type, as in semantics._ext; top does nothing
+            t = type(f)
+            if t is And:
+                self._add(br, w, f.left, mask)
+                self._add(br, w, f.right, mask)
+            elif t is Or:
+                br.splits.append((w, f))
+            elif t is K:
+                br.boxes.setdefault((w, f.agent), {})[f] = mask
+                self._move_box(br, w, f, mask)
+            elif t is _Dia:
+                br.dias[w].append(f)
+            elif t is Prop:
+                other = labs.get(Not(f))
+                if other is not None:
+                    return mask | other
+            elif t is Not:
+                other = labs.get(f.sub)
+                if other is not None:
+                    return mask | other
+            elif t is Bot:
+                return mask
         return None
 
     def _fire_one(self, br) -> bool:
@@ -340,13 +342,19 @@ class _Tableau:
         a clash, or None.  Two refuted disjuncts close the branch even when
         one is on the label (a sibling's box can bring it early).  Otherwise
         a disjunct on the label drops the split, and one refuted disjunct
-        forces the other (unit propagation) through br.det.
+        forces the other (unit propagation) through br.det.  A disjunction's
+        two complements are looked up in the nnf memo once per call, at its
+        first visit, where their memo misses tick; later visits read them
+        from self.complements.  Looking them up when the split is queued
+        would tick for splits never visited, and move budget edges.
         """
-        pending = []
+        pending, complements = [], self.complements
         for w, f in br.splits:
             labs = br.labels[w]
-            left_out = labs.get(self.nnf(f.left, True))
-            right_out = labs.get(self.nnf(f.right, True))
+            pair = complements.get(f)
+            if pair is None:
+                pair = complements[f] = (self.nnf(f.left, True), self.nnf(f.right, True))
+            left_out, right_out = labs.get(pair[0]), labs.get(pair[1])
             if left_out is not None and right_out is not None:
                 return labs[f] | left_out | right_out
             if f.left in labs or f.right in labs:

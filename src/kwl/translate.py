@@ -15,9 +15,9 @@ from .formula import (
     TOP,
     And,
     Announce,
-    Binary,
     Bot,
     Formula,
+    Iff,
     Implies,
     K,
     Kw,
@@ -77,27 +77,27 @@ def step(redex: Announce) -> Formula:
     Asserts that the weighted complexity strictly drops, so that rewriting
     until no announcement is left terminates."""
     announced, body = redex.announced, redex.body
-    match body:
-        case Top():
-            out = TOP
-        case Bot():
-            out = Not(announced)
-        case Prop(_):
-            out = Implies(announced, body)
-        case Not(sub):
-            out = Implies(announced, Not(Announce(announced, sub)))
-        case Binary():
-            out = body.map(lambda part: Announce(announced, part))
-        case Kw(agent, sub):
-            out = Implies(
-                announced,
-                Or(Kw(agent, Announce(announced, sub)),
-                   Kw(agent, Announce(announced, Not(sub)))))
-        case K(agent, sub):
-            out = Implies(announced, K(agent, Announce(announced, sub)))
-        case Announce(inner, sub):
-            out = Announce(And(announced, Announce(announced, inner)), sub)
-        case _:
-            raise TypeError(f"not a formula: {body!r}")
+    t = type(body)  # an if-chain on the exact type, as in semantics._ext
+    if t is Top:
+        out = TOP
+    elif t is Bot:
+        out = Not(announced)
+    elif t is Prop:
+        out = Implies(announced, body)
+    elif t is Not:
+        out = Implies(announced, Not(Announce(announced, body.sub)))
+    elif t is And or t is Or or t is Implies or t is Iff:
+        out = body.map(lambda part: Announce(announced, part))
+    elif t is Kw:
+        out = Implies(
+            announced,
+            Or(Kw(body.agent, Announce(announced, body.sub)),
+               Kw(body.agent, Announce(announced, Not(body.sub)))))
+    elif t is K:
+        out = Implies(announced, K(body.agent, Announce(announced, body.sub)))
+    elif t is Announce:
+        out = Announce(And(announced, Announce(announced, body.announced)), body.body)
+    else:
+        raise TypeError(f"not a formula: {body!r}")
     assert complexity(out) < complexity(redex), f"rewrite did not shrink: {redex}"
     return out

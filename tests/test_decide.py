@@ -475,6 +475,8 @@ def _kw_chain(n):
 
 
 _PROP19_3 = gen_prop19(3).steps[-1].formula
+# the children of each world of kw-chain-10-K's countermodel that has any
+_KW_CHAIN_CHILDREN = {0: (1, 2), **{s: (s + 2, s + 3) for s in range(1, 18, 2)}}
 _TWO_AGENTS = parse("~K[j](r & ~p) & K[i](~p | r) & ~K[j](~r & ~s) & ~K[i](~p & r)"
                     " & ~K[j](q & ~q)")
 
@@ -485,6 +487,11 @@ WORK_PINS = [
     pytest.param(valid, _PROP19_3, FrameClass.K, 53, 22, None, id="prop19-3-K"),
     pytest.param(valid, _PROP19_3, FrameClass.T, 53, 23, None, id="prop19-3-T"),
     pytest.param(valid, _PROP19_3, FrameClass.S5, 53, 23, None, id="prop19-3-S5"),
+    # the rest of the classes the decide benchmark times gen_prop19(3) over, and PF
+    *(pytest.param(valid, _PROP19_3, fc, 53, 22, None, id=f"prop19-3-{fc.name}")
+      for fc in (FrameClass.D, FrameClass.B, FrameClass.K4, FrameClass.K5, FrameClass.K45)),
+    pytest.param(valid, _PROP19_3, FrameClass.S4, 53, 23, None, id="prop19-3-S4"),
+    pytest.param(valid, _PROP19_3, FrameClass.PF, 1, 1, None, id="prop19-3-PF"),
     pytest.param(valid, _kw_chain(8), FrameClass.S5, 8, 2, None, id="kw-chain-8-S5"),
     pytest.param(
         valid, _kw_chain(10), FrameClass.K, 21, 1,
@@ -495,6 +502,22 @@ WORK_PINS = [
         '["w11","w13"],["w11","w14"],["w13","w15"],["w13","w16"],["w15","w17"],'
         '["w15","w18"],["w17","w19"],["w17","w20"]]},"val":{"p":["w20"]},"point":"w0"}',
         id="kw-chain-10-K"),
+    # the same tree, whose spine is w0, w1, w3, ..., w17, with a loop at each
+    # world over T, and closed under transitivity over K4
+    pytest.param(
+        valid, _kw_chain(10), FrameClass.T, 21, 1,
+        json.dumps({"worlds": [f"w{n}" for n in range(21)], "agents": ["i"],
+                    "rel": {"i": [[f"w{s}", f"w{t}"] for s in range(21)
+                                  for t in [s, *_KW_CHAIN_CHILDREN.get(s, ())]]},
+                    "val": {"p": [f"w{n}" for n in range(2, 21, 2)]}, "point": "w0"}),
+        id="kw-chain-10-T"),
+    pytest.param(
+        valid, _kw_chain(10), FrameClass.K4, 21, 1,
+        json.dumps({"worlds": [f"w{n}" for n in range(21)], "agents": ["i"],
+                    "rel": {"i": [[f"w{s}", f"w{t}"] for s in _KW_CHAIN_CHILDREN
+                                  for t in range(min(_KW_CHAIN_CHILDREN[s]), 21)]},
+                    "val": {"p": ["w20"]}, "point": "w0"}),
+        id="kw-chain-10-K4"),
     # a negated <-> becomes (a & ~b) | (~a & b), in that order
     pytest.param(
         valid, parse("(Kw[i]p <-> Kw[j]q) -> Kw[i](p <-> q)"), FrameClass.K, 3, 1,
