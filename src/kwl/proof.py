@@ -154,11 +154,20 @@ def instantiate(schema: Formula, bindings: dict) -> Formula:
 # ---------------------------------------------------------------------------
 # boolean reasoning under modal abstraction
 #
-# A taut or pc step holds when the negation of its formula is unsatisfiable
-# once the propositions and the maximal Kw, K and announcement subformulas
-# are read as letters.  The negation is put in a definitional clause form
+# A taut or pc step holds when its formula is a tautology once the
+# propositions and the maximal Kw, K and announcement subformulas are read as
+# letters.  Up to _TABLE_LETTERS letters the step is decided by its truth
+# table; past that, the negation is put in a definitional clause form
 # (Tseitin 1968, one-sided definitions) and searched by DPLL with unit
-# propagation (Davis, Logemann & Loveland 1962).
+# propagation (Davis, Logemann & Loveland 1962).  Only the search can give up.
+
+# up to this many letters a formula is decided by its truth table: one bit per
+# row of a 2^_TABLE_LETTERS-bit column, and the k-th letter met reads the k-th
+# alternating mask of _COLUMNS
+_TABLE_LETTERS = 12
+_FULL = (1 << (1 << _TABLE_LETTERS)) - 1
+_COLUMNS = tuple((((1 << (1 << k)) - 1) << (1 << k)) * (_FULL // ((1 << (2 << k)) - 1))
+                 for k in range(_TABLE_LETTERS))
 
 # literals scanned during propagation before a check gives up, counted as the
 # lengths of the clauses visited: about a second.  The cost of a decision grows
@@ -270,12 +279,59 @@ def _satisfiable(clauses: list) -> bool:
         trail.append(lit)
 
 
+def _column(f: Formula) -> Optional[int]:
+    """f's truth table as one column of _COLUMNS' rows, or None once f has
+    more than _TABLE_LETTERS letters.  A post-order walk with a list, not the
+    interpreter's stack; each distinct node is evaluated once."""
+    col: dict = {}  # node -> its column
+    letters = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in col:
+            continue
+        kind = type(g)
+        if kind is Not:
+            a = col.get(g.sub)
+            if a is None:
+                stack += (g, g.sub)
+                continue
+            col[g] = _FULL ^ a
+        elif kind is And or kind is Or or kind is Implies or kind is Iff:
+            a, b = col.get(g.left), col.get(g.right)
+            if a is None or b is None:
+                stack += (g, g.right, g.left)
+                continue
+            if kind is And:
+                col[g] = a & b
+            elif kind is Or:
+                col[g] = a | b
+            elif kind is Implies:
+                col[g] = (_FULL ^ a) | b
+            else:
+                col[g] = _FULL ^ a ^ b
+        elif kind is Top:
+            col[g] = _FULL
+        elif kind is Bot:
+            col[g] = 0
+        elif letters == _TABLE_LETTERS:
+            return None
+        else:
+            col[g] = _COLUMNS[letters]
+            letters += 1
+    return col[f]
+
+
 def is_bool_taut(f: Formula) -> bool:
     """Tautology after abstracting maximal modal subformulas.
 
     The letters are the propositions and the maximal Kw, K and announcement
-    subformulas, compared by value.  Raises ValueError when the search passes
-    its work cap: the formula is then neither confirmed nor refuted."""
+    subformulas, compared by value.  Up to _TABLE_LETTERS letters the truth
+    table answers; past that DPLL does, and raises ValueError when the search
+    passes its work cap: the formula is then neither confirmed nor refuted."""
+    table = _column(f)
+    if table is not None:
+        return table == _FULL
     return not _satisfiable(_clauses(f))
 
 

@@ -107,17 +107,20 @@ class KripkeModel:
         if len(set(self.agents)) != len(self.agents):
             raise ModelError("duplicate agent names")
         self.rel: dict[str, frozenset[tuple[str, str]]] = {}
+        edges = {}  # agent -> its edges in the caller's order, so an error names the first bad one
         for agent, pairs in rel.items():
             if agent not in self.agents:
                 raise ModelError(f"relation for undeclared agent {agent!r}")
-            self.rel[agent] = frozenset(map(tuple, pairs))
+            edges[agent] = pairs = list(map(tuple, pairs))
+            self.rel[agent] = frozenset(pairs)
         n = len(self.worlds)
         bit = [1 << k for k in range(n)]
         succ, pred = {}, {}  # agent -> one mask per world
         for agent in self.agents:
             out, back = [0] * n, [0] * n
+            self.rel.setdefault(agent, frozenset())
             try:
-                for s, t in self.rel.setdefault(agent, frozenset()):
+                for s, t in edges.get(agent, ()):
                     ks, kt = index[s], index[t]
                     out[ks] |= bit[kt]
                     back[kt] |= bit[ks]

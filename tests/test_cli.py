@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import ROOT, pigeonhole, random_formula
 from kwl.cli import main
-from kwl.formula import Language, parse, render
+from kwl.formula import Iff, Language, Prop, parse, render
 from kwl.proof import SYSTEMS, format_derivation, gen_prop19
 from kwl.semantics import load_model, mc
 from kwl.translate import el_to_kw
@@ -251,6 +252,20 @@ def test_gen_prop19_6_checks_via_cli(capsys, tmp_path):
     path.write_text(format_derivation(gen_prop19(6)))
     code, out, err = run(capsys, "check", str(path))
     assert (code, out, err) == (0, "ok\n", "")
+
+
+def test_parity_checks_via_cli(capsys, tmp_path):
+    # x0 <-> ... <-> x(n-1) bracketed from the left and from the right are
+    # equivalent; up to 12 letters the truth table decides both directions
+    for n in range(2, 13):
+        xs = [Prop(f"x{k}") for k in range(n)]
+        left = functools.reduce(Iff, xs)
+        right = functools.reduce(lambda a, b: Iff(b, a), reversed(xs))
+        path = tmp_path / f"parity{n}.prf"
+        path.write_text(f"system PLKw\n\n1. {render(Iff(left, right))} ; taut\n"
+                        f"2. {render(Iff(right, left))} ; taut\n")
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out, err) == (0, "ok\n", ""), n
 
 
 def test_undecided_step_is_exit_3(capsys, tmp_path):

@@ -10,7 +10,24 @@ from hypothesis import strategies as st
 
 import kwl.proof
 from helpers import ROOT, abstraction_letters, pigeonhole, random_formula, reference_taut
-from kwl.formula import And, Iff, Implies, Kw, Language, Not, Or, Prop, disj, parse, render
+from kwl.formula import (
+    BOT,
+    TOP,
+    And,
+    Announce,
+    Iff,
+    Implies,
+    K,
+    Kw,
+    Language,
+    Not,
+    Or,
+    Prop,
+    disj,
+    fold,
+    parse,
+    render,
+)
 from kwl.proof import (
     AXIOMS,
     SYSTEMS,
@@ -129,7 +146,50 @@ def test_is_bool_taut_pins():
     assert is_bool_taut(parse("Kw[i](p & q) -> Kw[i](p & q)"))
 
 
-def test_is_bool_taut_agrees_with_reference():
+def _with_letters(rng, n: int):
+    """A random boolean formula whose abstraction has exactly n letters:
+    propositions and Kw, K and announcement subformulas, each met at least
+    once.  top and bot may occur too."""
+    letters = []
+    while len(letters) < n:
+        kind = rng.randrange(4)
+        sub = random_formula(rng, 2, props=("p", "q"), agents=("i", "j"), lang=Language.PLKwAK)
+        g = (Prop(f"p{rng.randrange(2 * n)}"), Kw(rng.choice("ij"), sub), K(rng.choice("ij"), sub),
+             Announce(sub, Prop("q")))[kind]
+        if g not in letters:
+            letters.append(g)
+    parts = letters + [rng.choice(letters) for _ in range(rng.randint(0, n))]
+    parts += rng.choice(((), (TOP,), (BOT,), (TOP, BOT)))
+    rng.shuffle(parts)
+    while len(parts) > 1:
+        k = rng.randrange(len(parts) - 1)
+        g = rng.choice((And, Or, Implies, Iff))(parts[k], parts[k + 1])
+        parts[k:k + 2] = [Not(g) if rng.random() < 0.3 else g]
+    return parts[0]
+
+
+def _respelled(f):
+    """An equivalent formula over the same letters: every connective spelled
+    with ~ and the other connectives, the letters left as they are."""
+    def rule(g, image):
+        kind = type(g)
+        if kind is Not:
+            return Not(image(g.sub))
+        if kind not in (And, Or, Implies, Iff):
+            return g
+        a, b = image(g.left), image(g.right)
+        if kind is And:
+            return Not(Or(Not(a), Not(b)))
+        if kind is Or:
+            return Not(And(Not(a), Not(b)))
+        if kind is Implies:
+            return Or(Not(a), b)
+        return And(Or(Not(a), b), Or(a, Not(b)))
+
+    return fold(f, rule)
+
+
+def test_is_bool_taut_agrees_with_reference(monkeypatch):
     # modal and announcement letters, top/bot and all five connectives
     rng = random.Random(47)
     checked = tautologies = 0
@@ -146,6 +206,32 @@ def test_is_bool_taut_agrees_with_reference():
         checked += 1
         tautologies += want
     assert 100 < tautologies < 2900
+    # either side of the truth table's cutoff: 12 letters are never searched,
+    # 13 always are.  The search may give up, never answer wrongly; on these
+    # inputs it gives up on three tautologies f <-> g (ROADMAP, item 1)
+    searches = []
+    search = kwl.proof._satisfiable
+    monkeypatch.setattr(kwl.proof, "_satisfiable",
+                        lambda clauses: searches.append(clauses) or search(clauses))
+    rng = random.Random(48)
+    for n, gives_up in ((12, 0), (13, 3)):
+        answers, undecided = set(), 0
+        for _ in range(20):
+            f = _with_letters(rng, n)
+            assert len(abstraction_letters(f)) == n
+            same = Iff(f, _respelled(f))
+            for g in (f, Not(f), same, Not(same)):
+                searches.clear()
+                want = reference_taut(g)
+                try:
+                    assert is_bool_taut(g) == want, render(g)
+                    answers.add(want)
+                except ValueError:
+                    assert want and g is same
+                    undecided += 1
+                assert len(searches) == (n > 12)
+        assert answers == {True, False}
+        assert undecided == gives_up, n
 
 
 def test_is_bool_taut_agrees_on_derivations(monkeypatch):
@@ -182,12 +268,18 @@ def test_is_bool_taut_work_cap():
 
 
 def test_is_bool_taut_depth():
-    # the walk and the evaluation each take at most one frame per level
+    # the truth table's walk takes no frame per level
     f = parse("p | ~p")
     for _ in range(700):
         f = Not(f)
     assert is_bool_taut(f)
     assert not is_bool_taut(Not(f))
+    p = Prop("p")
+    chain = p
+    for _ in range(5000):
+        chain = And(p, chain)
+    assert not is_bool_taut(chain)
+    assert is_bool_taut(Implies(chain, p))
 
 
 @settings(max_examples=300, deadline=None)

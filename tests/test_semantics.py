@@ -1,11 +1,15 @@
 """Models, the satisfaction relation, frame properties."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from helpers import (
+    ROOT,
     enumerate_class_models,
     random_formula,
     random_model,
@@ -108,6 +112,24 @@ def test_model_validation_errors():
         with pytest.raises(ModelError) as info:
             KripkeModel(*args, **kwargs)
         assert str(info.value) == text, args
+
+
+def test_the_first_bad_edge_is_named_under_every_hash_seed():
+    # the edges are read in the caller's order, not a set's, so fresh
+    # interpreters with different hash seeds name the same edge
+    code = ("from kwl.semantics import KripkeModel, ModelError\n"
+            "try:\n"
+            "    KripkeModel(['s'], ['i'], {'i': [('s', 't'), ('u', 's'), ('s', 'v')]}, {})\n"
+            "except ModelError as e:\n"
+            "    print(e)\n")
+    named = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(seed))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        named.add(run.stdout.strip())
+    assert named == {"edge ('s', 't') mentions an unknown world"}
 
 
 def test_mc_at_an_unknown_world():
