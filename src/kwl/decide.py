@@ -100,45 +100,22 @@ class _Dia(Modal):
     sub: Formula
 
 
-# ---------------------------------------------------------------------------
-# branch state
-
-
-class _Branch:
-    # labels and boxes map each formula to its mask (module docstring), in
-    # arrival order, so that boxes move in that order whatever the
-    # string-hash seed.  Worlds are the keys of labels, 0, 1, ... in creation
-    # order; 0 is the root.  dias maps each world, in the same order, to its
-    # diamonds that have not fired, in arrival order.  succ maps (world,
-    # agent) to the world's agent-children and their edges' masks; parent
-    # maps (world, agent) to (parent, mask) when the edge into the world is
-    # the agent's.
-    __slots__ = ("labels", "succ", "parent", "boxes", "dias", "det", "splits")
-
-    def __init__(self):
-        self.labels: dict[int, dict] = {}
-        self.succ: dict[tuple, dict] = {}
-        self.parent: dict[tuple, tuple] = {}
-        self.boxes: dict[tuple, dict] = {}
-        self.dias: dict[int, list] = {}
-        self.det: deque = deque()
-        self.splits: list = []
-
-    def copy(self) -> "_Branch":
-        br = _Branch.__new__(_Branch)
-        br.labels = {w: dict(s) for w, s in self.labels.items()}
-        br.succ = {k: dict(s) for k, s in self.succ.items()}
-        br.parent = dict(self.parent)
-        br.boxes = {k: dict(s) for k, s in self.boxes.items()}
-        br.dias = {w: list(s) for w, s in self.dias.items()}
-        br.det = deque(self.det)
-        br.splits = list(self.splits)
-        return br
-
-
 class _Tableau:
-    """One call's search.  work is counted against the budget, preprocessing
-    included: one tick per new world, label entry and NNF memo entry."""
+    """One call's search, on one branch that it changes in place.  work is
+    counted against the budget, preprocessing included: one tick per new
+    world, label entry and NNF memo entry.
+
+    labels maps each world to its formulas, each with its mask (module
+    docstring), in arrival order, so that boxes move in that order whatever
+    the string-hash seed.  Worlds are the keys of labels, 0, 1, ... in
+    creation order; 0 is the root.  succ[w][a] maps w's a-children to their
+    edges' masks, and boxes[w][a] maps w's boxes K[a]b to their masks;
+    parent maps (world, agent) to (parent, mask) when the edge into the
+    world is the agent's.  fired holds the (world, diamond) pairs that have
+    fired.  These dicts only gain keys, and trail lists each (dict, key)
+    pair added since the search began, so _undo winds the branch back to
+    any earlier length of the trail.
+    """
 
     def __init__(self, frame_class, agents, budget):
         props = frame_class.requirements
@@ -156,6 +133,14 @@ class _Tableau:
         self.work = 0
         self.nnf_memo: dict = {}
         self.complements: dict = {}  # a disjunction -> its disjuncts' normal-form negations
+        self.labels: dict[int, dict] = {}
+        self.succ: dict[int, dict] = {}
+        self.parent: dict[tuple, tuple] = {}
+        self.boxes: dict[int, dict] = {}
+        self.fired: dict[tuple, bool] = {}
+        self.det: deque = deque()
+        self.splits: list = []
+        self.trail: list = []
 
     def _tick(self):
         self.work += 1
@@ -214,83 +199,97 @@ class _Tableau:
         self.nnf_memo[key] = out
         return out
 
-    def _blocker(self, br, w) -> int:
+    def _blocker(self, w) -> int:
         """The first world with w's formulas over transitive and euclidean frames, else w."""
         if not (self.transitive or self.euclidean):
             return w
-        own = br.labels[w].keys()
-        return next(u for u in br.labels if br.labels[u].keys() == own)
+        own = self.labels[w].keys()
+        return next(u for u in self.labels if self.labels[u].keys() == own)
 
-    def _new_world(self, br) -> int:
-        w = len(br.labels)
-        br.labels[w], br.dias[w] = {}, []
+    def _put(self, d, key, value):
+        d[key] = value
+        self.trail.append((d, key))
+
+    def _undo(self, mark):
+        """Wind the branch back to the trail's length mark."""
+        for d, key in self.trail[mark:]:
+            del d[key]
+        del self.trail[mark:]
+        self.det.clear()
+
+    def _new_world(self) -> int:
+        w = len(self.labels)
+        self._put(self.labels, w, {})
+        self._put(self.succ, w, {agent: {} for agent in self.agents})
+        self._put(self.boxes, w, {agent: {} for agent in self.agents})
         self.prefixes += 1
         self._tick()
         return w
 
-    def _add(self, br, w, f, mask):
-        if f in br.labels[w]:
+    def _add(self, w, f, mask):
+        labs = self.labels[w]
+        if f in labs:
             return
         self._tick()
-        br.labels[w][f] = mask
-        br.det.append((w, f))
+        labs[f] = mask  # _put, inline on the hot path
+        self.trail.append((labs, f))
+        self.det.append((w, f))
 
-    def _move_box(self, br, w, box, mask):
+    def _move_box(self, w, box, mask):
         """Send the box K[a]b at w one step along w's a-edges (module docstring)."""
         agent = box.agent
-        up = br.parent.get((w, agent))
+        up = self.parent.get((w, agent))
         if self.reflexive or (self.euclidean and up is not None):
-            self._add(br, w, box.sub, mask)
-        for v, edge in br.succ.get((w, agent), {}).items():
-            self._cross(br, w, v, box, mask | edge)
+            self._add(w, box.sub, mask)
+        for v, edge in self.succ[w][agent].items():
+            self._cross(w, v, box, mask | edge)
         if up is None:
             return
         u, edge = up
         if self.symmetric:
-            self._add(br, u, box.sub, mask | edge)
+            self._add(u, box.sub, mask | edge)
         if self.euclidean:
             # R(u) lies within R(w), and a sibling in w's cluster gets b by its own rules
-            self._add(br, u, box, mask | edge)
-            for s, edge in br.succ[(u, agent)].items():
-                self._add(br, s, box, mask | edge)
+            self._add(u, box, mask | edge)
+            for s, edge in self.succ[u][agent].items():
+                self._add(s, box, mask | edge)
 
-    def _cross(self, br, u, v, box, mask):
+    def _cross(self, u, v, box, mask):
         """Send a box at u over the edge u -> v: its body (K), and itself over
         transitive frames (4) or, from u's own cluster, euclidean ones (5)."""
-        self._add(br, v, box.sub, mask)
-        if self.transitive or (self.euclidean and (self.reflexive or (u, box.agent) in br.parent)):
-            self._add(br, v, box, mask)
+        self._add(v, box.sub, mask)
+        if self.transitive or (self.euclidean and (self.reflexive or (u, box.agent) in self.parent)):
+            self._add(v, box, mask)
 
-    def _add_edge(self, br, agent, u, v, mask):
+    def _add_edge(self, agent, u, v, mask):
         """Add the edge u -> v and send v the boxes that it lets reach v: u's,
         and over euclidean frames those of v's siblings."""
-        br.succ.setdefault((u, agent), {})[v] = mask
-        br.parent[(v, agent)] = (u, mask)
-        for box, m in br.boxes.get((u, agent), {}).items():
-            self._cross(br, u, v, box, m | mask)
+        self._put(self.succ[u][agent], v, mask)
+        self._put(self.parent, (v, agent), (u, mask))
+        for box, m in self.boxes[u][agent].items():
+            self._cross(u, v, box, m | mask)
         if self.euclidean:
-            for s in br.succ[(u, agent)]:  # v itself has no boxes yet
-                for box, m in br.boxes.get((s, agent), {}).items():
-                    self._add(br, v, box, m | mask)
+            for s in self.succ[u][agent]:  # v itself has no boxes yet
+                for box, m in self.boxes[s][agent].items():
+                    self._add(v, box, m | mask)
 
-    def _saturate(self, br) -> Optional[int]:
+    def _saturate(self) -> Optional[int]:
         """Apply the deterministic rules; the mask of a clash, or None."""
-        while br.det:
-            w, f = br.det.popleft()
-            labs = br.labels[w]
+        while self.det:
+            w, f = self.det.popleft()
+            labs = self.labels[w]
             mask = labs[f]
-            # an if-chain on the exact type, as in semantics._ext; top does nothing
+            # an if-chain on the exact type, as in semantics._ext; top and
+            # diamonds do nothing here
             t = type(f)
             if t is And:
-                self._add(br, w, f.left, mask)
-                self._add(br, w, f.right, mask)
+                self._add(w, f.left, mask)
+                self._add(w, f.right, mask)
             elif t is Or:
-                br.splits.append((w, f))
+                self.splits.append((w, f))
             elif t is K:
-                br.boxes.setdefault((w, f.agent), {})[f] = mask
-                self._move_box(br, w, f, mask)
-            elif t is _Dia:
-                br.dias[w].append(f)
+                self._put(self.boxes[w][f.agent], f, mask)
+                self._move_box(w, f, mask)
             elif t is Prop:
                 other = labs.get(Not(f))
                 if other is not None:
@@ -303,11 +302,13 @@ class _Tableau:
                 return mask
         return None
 
-    def _fire_one(self, br) -> bool:
+    def _fire_one(self) -> bool:
         """Expand the diamonds of one world (or one seriality obligation); True on progress."""
         # both loops return right after _new_world, so no dict grows under them
-        for w, dias in br.dias.items():
-            if not dias or self._blocker(br, w) != w:
+        for w, labs in self.labels.items():
+            # its pending diamonds: the unfired ones on its label, in label order
+            dias = [f for f in labs if type(f) is _Dia and (w, f) not in self.fired]
+            if not dias or self._blocker(w) != w:
                 continue
             # the order in which box and diamond bodies reach the successor's
             # label orders its splits, and so the search and the model
@@ -316,41 +317,41 @@ class _Tableau:
                 # agent's diamonds fire into it, after its boxes
                 agent = min(f.agent for f in dias)
                 fire = [f for f in dias if f.agent == agent]
-                dias[:] = [f for f in dias if f.agent != agent]
-                succ = br.succ.get((w, agent))
-                v = next(iter(succ)) if succ else self._new_world(br)
+                succ = self.succ[w][agent]
+                v = next(iter(succ)) if succ else self._new_world()
                 if not succ:
-                    self._add_edge(br, agent, w, v, br.labels[w][fire[0]])
+                    self._add_edge(agent, w, v, labs[fire[0]])
             else:
-                agent, fire = dias[0].agent, [dias.pop(0)]
-                v = self._new_world(br)
+                agent, fire = dias[0].agent, dias[:1]
+                v = self._new_world()
             for f in fire:
-                self._add(br, v, f.sub, br.labels[w][f])
+                self._put(self.fired, (w, f), True)
+                self._add(v, f.sub, labs[f])
             if not self.pf:
-                self._add_edge(br, agent, w, v, br.labels[w][fire[0]])
+                self._add_edge(agent, w, v, labs[fire[0]])
             return True
         if self.serial:
-            for w in br.labels:
+            for w in self.labels:
                 for agent in self.agents:
-                    if br.boxes.get((w, agent)) and not br.succ.get((w, agent)):
-                        self._add_edge(br, agent, w, self._new_world(br), 0)
+                    if self.boxes[w][agent] and not self.succ[w][agent]:
+                        self._add_edge(agent, w, self._new_world(), 0)
                         return True
         return False
 
-    def _resolve_splits(self, br) -> Optional[int]:
+    def _resolve_splits(self) -> Optional[int]:
         """Discharge pending disjunctions that need no branching; the mask of
         a clash, or None.  Two refuted disjuncts close the branch even when
         one is on the label (a sibling's box can bring it early).  Otherwise
         a disjunct on the label drops the split, and one refuted disjunct
-        forces the other (unit propagation) through br.det.  A disjunction's
+        forces the other (unit propagation) through det.  A disjunction's
         two complements are looked up in the nnf memo once per call, at its
         first visit, where their memo misses tick; later visits read them
         from self.complements.  Looking them up when the split is queued
         would tick for splits never visited, and move budget edges.
         """
         pending, complements = [], self.complements
-        for w, f in br.splits:
-            labs = br.labels[w]
+        for w, f in self.splits:
+            labs = self.labels[w]
             pair = complements.get(f)
             if pair is None:
                 pair = complements[f] = (self.nnf(f.left, True), self.nnf(f.right, True))
@@ -360,56 +361,58 @@ class _Tableau:
             if f.left in labs or f.right in labs:
                 continue
             if left_out is not None:
-                self._add(br, w, f.right, labs[f] | left_out)
+                self._add(w, f.right, labs[f] | left_out)
             elif right_out is not None:
-                self._add(br, w, f.left, labs[f] | right_out)
+                self._add(w, f.left, labs[f] | right_out)
             else:
                 pending.append((w, f))
-        br.splits = pending
+        self.splits = pending
         return None
 
-    def search(self, br, level: int = 0) -> _Branch | int:
-        """The first open branch below br, or the mask of the splits above
-        level that its clashes depend on."""
+    def search(self, level: int = 0) -> Optional[int]:
+        """None once the branch is open, which is then left as it is for
+        extract; else the mask of the splits above level that its clashes
+        depend on."""
         while True:
-            clash = self._saturate(br)
+            clash = self._saturate()
             if clash is None:
-                clash = self._resolve_splits(br)
+                clash = self._resolve_splits()
             if clash is not None:
                 self.branches += 1
                 return clash
-            if br.det:
+            if self.det:
                 continue
-            if br.splits:
-                w, f = br.splits.pop()
+            if self.splits:
+                w, f = self.splits.pop()
                 bit = 1 << level
-                mask = br.labels[w][f] | bit
-                clashes = 0
+                mask = self.labels[w][f] | bit
+                splits, mark, clashes = self.splits, len(self.trail), 0
                 for right, piece in enumerate((f.left, f.right)):
-                    # nothing reads br after the loop, so the right child takes it
-                    child = br if right else br.copy()
-                    self._add(child, w, piece, mask)
-                    found = self.search(child, level + 1)
+                    # nothing reads splits after the loop, so the right child takes it
+                    self.splits = splits if right else list(splits)
+                    self._add(w, piece, mask)
+                    found = self.search(level + 1)
                     # an open branch, or a clash that this split's choice did not cause
-                    if not isinstance(found, int) or not found & bit:
+                    if found is None or not found & bit:
                         return found
                     clashes |= found
+                    self._undo(mark)
                 return clashes & ~bit
-            if not self._fire_one(br):
+            if not self._fire_one():
                 self.branches += 1
-                return br
+                return None
 
-    def extract(self, br, original: Formula) -> KripkeModel:
+    def extract(self, original: Formula) -> KripkeModel:
         rel = {}
         for agent in self.agents:
             # a blocked world keeps its own successors and borrows its blocker's
-            pairs = {(w, v) for w in br.labels for x in {w, self._blocker(br, w)}
-                     for v in br.succ.get((x, agent), ())}
-            closed = self._close(br.labels, pairs)
+            pairs = {(w, v) for w in self.labels for x in {w, self._blocker(w)}
+                     for v in self.succ[x][agent]}
+            closed = self._close(self.labels, pairs)
             rel[agent] = [(f"w{x}", f"w{y}") for (x, y) in sorted(closed)]
-        val = {p: [f"w{w}" for w in br.labels if Prop(p) in br.labels[w]]
+        val = {p: [f"w{w}" for w in self.labels if Prop(p) in self.labels[w]]
                for p in sorted(props_of(original))}
-        model = KripkeModel([f"w{w}" for w in br.labels], self.agents, rel, val, point="w0")
+        model = KripkeModel([f"w{w}" for w in self.labels], self.agents, rel, val, point="w0")
         if not mc(model, "w0", original):
             raise RuntimeError(f"extracted model fails {original}")
         if not satisfies_class(model, self.frame_class):
@@ -442,13 +445,11 @@ class _Tableau:
 def sat(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> DecisionResult:
     """Satisfiability of f over the class; a SAT verdict carries a verified model."""
     tab = _Tableau(frame_class, sorted(agents_of(f)), budget)
-    root, br = tab.nnf(f, False), _Branch()  # nnf ticks before the root world does
-    tab._add(br, tab._new_world(br), root, 0)
-    open_branch = tab.search(br)
-    if isinstance(open_branch, int):
+    root = tab.nnf(f, False)  # nnf ticks before the root world does
+    tab._add(tab._new_world(), root, 0)
+    if tab.search() is not None:
         return DecisionResult(False, None, tab.prefixes, tab.branches)
-    model = tab.extract(open_branch, f)
-    return DecisionResult(True, model, tab.prefixes, tab.branches)
+    return DecisionResult(True, tab.extract(f), tab.prefixes, tab.branches)
 
 
 def valid(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> Validity:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -376,6 +377,34 @@ def test_a_clash_beyond_an_edge_depends_on_the_split_that_made_it():
     for fc in FrameClass:
         r = sat(f, fc)
         assert r.satisfiable == (fc not in serial), fc
+
+
+def test_a_closed_branch_leaves_nothing_behind():
+    # each left disjunct makes w1 from a diamond, with a box beside it, and
+    # clashes there; the right child sees none of that branch's worlds, edges,
+    # boxes or firings, and in the second formula fires the diamond again
+    for fc in FrameClass:
+        r = sat(parse("(~K[i]~q & K[i]~q) | r"), fc)
+        assert (r.prefixes, r.branches) == (2, 2), fc
+        assert (r.model.worlds, r.model.to_dict()["val"]) == (
+            ("w0",), {"q": [], "r": ["w0"]}), fc
+        r = sat(parse("~K[i]~q & (K[i]~q & s | r)"), fc)
+        assert (r.prefixes, r.branches) == (3, 2), fc
+        assert (r.model.worlds, r.model.to_dict()["val"]) == (
+            ("w0", "w1"), {"q": ["w1"], "r": ["w0"], "s": []}), fc
+
+
+def test_a_one_branch_search_keeps_memory_linear_in_its_depth():
+    # valid(Kw[i]^n p, K) has one branch of 2n+1 worlds below n split levels;
+    # the search holds that branch once, not once per level above it
+    valid(_kw_chain(2), FrameClass.K)  # lazy imports and caches outside the measurement
+    peaks = []
+    for f in (_kw_chain(100), _kw_chain(200)):
+        tracemalloc.start()
+        assert valid(f, FrameClass.K).valid is False
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 2.5 * peaks[0], peaks
 
 
 def test_small_dag_is_refuted_within_a_small_budget():

@@ -208,7 +208,7 @@ def test_is_bool_taut_agrees_with_reference(monkeypatch):
     assert 100 < tautologies < 2900
     # either side of the truth table's cutoff: 12 letters are never searched,
     # 13 always are.  The search may give up, never answer wrongly; on these
-    # inputs it gives up on three tautologies f <-> g (ROADMAP, item 1)
+    # inputs it gives up on three tautologies f <-> g (ROADMAP, item 3)
     searches = []
     search = kwl.proof._satisfiable
     monkeypatch.setattr(kwl.proof, "_satisfiable",
