@@ -1,11 +1,23 @@
-"""Bytecode instructions that check_derivation and valid execute, in one or more checkouts.
+"""Bytecode instructions that check_derivation, valid and the model loader execute,
+in one or more checkouts.
 
 For each checkout, a fresh interpreter with the checkout's src/ on PYTHONPATH
-and its root as working directory takes two counts:
+and its root as working directory takes three counts:
 - check_derivation on the 29 files of proofs/ and on gen_prop19(k) for
   k = 1..4, 33 derivations;
 - valid on the conclusion of gen_prop19(3) over each of the ten frame
-  classes, the tableau work that dominates the decide benchmark.
+  classes, the tableau work that dominates the decide benchmark;
+- load: load_model and then frame_properties, as `kwl frame` runs them, on
+  one model document that this script writes before the checkouts run.  It
+  is drawn from a fixed seed as bench/gen.py draws the modelcheck models:
+  100 worlds, agent i's relation an equivalence with blocks of 4 worlds,
+  agent j's two random successors per world (600 edges in all), and p, q and
+  r each true at 50 worlds; with the seed 1 it is the document that
+  random_model(random.Random(1), 100, ["p", "q", "r"]) returns.  json.loads
+  parses the text in C, so the parse itself is not counted, only the 93
+  instructions (CPython 3.11) of its Python wrappers; the count covers the
+  loader's Python code from the parsed document to the masks, and the
+  property tests.
 Each count runs its calls once untraced, so that lazily filled caches are
 warm, and then once more under a sys.settrace tracer that counts 'opcode'
 events in every frame that the calls open.  A count is the same from run to
@@ -18,17 +30,21 @@ library only:
 
 from __future__ import annotations
 
+import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 
 # the loops run in the frame that arms the tracer, which is itself not traced,
-# so only the instructions inside check_derivation and valid are counted
+# so only the instructions inside the counted calls are counted; argv[1] is
+# the model document
 CHILD = """
 import os, sys
 from kwl.decide import valid
 from kwl.proof import check_derivation, gen_prop19, load_derivation
-from kwl.semantics import FrameClass
+from kwl.semantics import FrameClass, frame_properties, load_model
 
 def counted(call, inputs):
     for x in inputs:
@@ -50,19 +66,39 @@ ds = [load_derivation(os.path.join("proofs", n)) for n in sorted(os.listdir("pro
 ds += [gen_prop19(k) for k in range(1, 5)]
 prop19 = gen_prop19(3).steps[-1].formula
 print(counted(check_derivation, [(d,) for d in ds]),
-      counted(valid, [(prop19, fc) for fc in FrameClass]))
+      counted(valid, [(prop19, fc) for fc in FrameClass]),
+      counted(lambda path: frame_properties(load_model(path)), [(sys.argv[1],)]))
 """
 
+SEED = 1
+WORLDS = 100
+BLOCK = 4  # agent i's equivalence blocks
+OUT_DEGREE = 2  # agent j's successors per world
+PROPS = ("p", "q", "r")
 
-def counts(checkout: str) -> tuple[int, int]:
-    """The check_derivation and valid opcode counts of one fresh process in the checkout."""
+
+def model_document(rng: random.Random) -> dict:
+    """A model document drawn as bench/gen.py's random_model draws one."""
+    worlds = [f"w{k}" for k in range(WORLDS)]
+    order = list(range(WORLDS))
+    rng.shuffle(order)
+    blocks = [order[start:start + BLOCK] for start in range(0, WORLDS, BLOCK)]
+    rel_i = [[worlds[s], worlds[t]] for members in blocks for s in members for t in members]
+    rel_j = [[worlds[s], worlds[t]] for s in range(WORLDS)
+             for t in sorted(rng.sample(range(WORLDS), OUT_DEGREE))]
+    val = {p: sorted(rng.sample(worlds, WORLDS // 2), key=worlds.index) for p in PROPS}
+    return {"worlds": worlds, "agents": ["i", "j"], "rel": {"i": rel_i, "j": rel_j}, "val": val}
+
+
+def counts(checkout: str, document: str) -> tuple[int, int, int]:
+    """The check_derivation, valid and load opcode counts of one fresh process in the checkout."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    done = subprocess.run([sys.executable, "-c", CHILD], cwd=checkout, env=env,
+    done = subprocess.run([sys.executable, "-c", CHILD, document], cwd=checkout, env=env,
                           capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"{checkout}: exited {done.returncode}: {done.stderr.strip()}")
-    proofs, decide = done.stdout.split()
-    return int(proofs), int(decide)
+    proofs, decide, load = done.stdout.split()
+    return int(proofs), int(decide), int(load)
 
 
 def main(argv: list[str]) -> int:
@@ -70,10 +106,14 @@ def main(argv: list[str]) -> int:
         sys.exit("usage: python3 scripts/opcodes.py CHECKOUT [CHECKOUT ...]")
     checkouts = [os.path.abspath(c) for c in argv]
     width = max(len(c) for c in checkouts)
-    print(f"{'checkout':<{width}}  {'check_derivation':>16}  {'valid':>11}")
-    for checkout in checkouts:
-        proofs, decide = counts(checkout)
-        print(f"{checkout:<{width}}  {proofs:>16,}  {decide:>11,}")
+    with tempfile.TemporaryDirectory() as tmp:
+        document = os.path.join(tmp, "model.json")
+        with open(document, "w", encoding="utf-8") as fh:
+            json.dump(model_document(random.Random(SEED)), fh)
+        print(f"{'checkout':<{width}}  {'check_derivation':>16}  {'valid':>11}  {'load':>9}")
+        for checkout in checkouts:
+            proofs, decide, load = counts(checkout, document)
+            print(f"{checkout:<{width}}  {proofs:>16,}  {decide:>11,}  {load:>9,}")
     return 0
 
 

@@ -403,16 +403,21 @@ class _Tableau:
                 return None
 
     def extract(self, original: Formula) -> KripkeModel:
-        rel = {}
+        n = len(self.labels)  # world w is bit w of the model's masks
+        succ, pred = {}, {}
         for agent in self.agents:
             # a blocked world keeps its own successors and borrows its blocker's
             pairs = {(w, v) for w in self.labels for x in {w, self._blocker(w)}
                      for v in self.succ[x][agent]}
-            closed = self._close(self.labels, pairs)
-            rel[agent] = [(f"w{x}", f"w{y}") for (x, y) in sorted(closed)]
-        val = {p: [f"w{w}" for w in self.labels if Prop(p) in self.labels[w]]
+            succ[agent], pred[agent] = out, back = [0] * n, [0] * n
+            for x, y in self._close(self.labels, pairs):
+                out[x] |= 1 << y
+                back[y] |= 1 << x
+        val = {p: sum(1 << w for w in self.labels if Prop(p) in self.labels[w])
                for p in sorted(props_of(original))}
-        model = KripkeModel([f"w{w}" for w in self.labels], self.agents, rel, val, point="w0")
+        worlds = tuple(f"w{w}" for w in self.labels)
+        model = KripkeModel.__new__(KripkeModel)._store(
+            worlds, tuple(self.agents), "w0", dict(zip(worlds, range(n))), succ, pred, val)
         if not mc(model, "w0", original):
             raise RuntimeError(f"extracted model fails {original}")
         if not satisfies_class(model, self.frame_class):

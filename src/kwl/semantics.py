@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from functools import reduce
-from itertools import compress
+from functools import cached_property, reduce
+from itertools import compress, repeat
 from operator import or_
 from typing import Iterable, Optional
 
@@ -84,72 +84,85 @@ class KripkeModel:
     """Finite Kripke model, with an optional point.
 
     worlds: ordered, duplicate-free world names.
-    rel: agent -> set of (source, target) pairs.
-    val: proposition -> set of worlds where it is true.
     point: an optional designated world, such as a countermodel's root.
     Order of the worlds list is preserved through JSON round trips so that
-    countermodels print stably.  The evaluator reads the same relations and
-    valuation as masks over world indices (bit k is worlds[k]), built with
-    the model.
+    countermodels print stably.  The model's one store is masks over world
+    indices (bit k is worlds[k]): per agent, one successor and one
+    predecessor mask per world, and one mask per proposition.  rel (agent
+    -> set of (source, target) pairs, in the order of agents) and val
+    (proposition -> set of worlds where it is true) are views of the masks,
+    built when first read and then kept.
     """
 
     def __init__(self, worlds: Iterable[str], agents: Iterable[str],
                  rel: dict[str, Iterable[tuple[str, str]]],
                  val: dict[str, Iterable[str]],
                  point: Optional[str] = None):
-        self.worlds = tuple(worlds)
-        self.agents = tuple(agents)
-        if not self.worlds:
+        worlds, agents = tuple(worlds), tuple(agents)
+        if not worlds:
             raise ModelError("a model needs at least one world")
-        index = {w: k for k, w in enumerate(self.worlds)}
-        if len(index) != len(self.worlds):
+        index = {w: k for k, w in enumerate(worlds)}
+        if len(index) != len(worlds):
             raise ModelError("duplicate world names")
-        if len(set(self.agents)) != len(self.agents):
+        if len(set(agents)) != len(agents):
             raise ModelError("duplicate agent names")
-        self.rel: dict[str, frozenset[tuple[str, str]]] = {}
-        edges = {}  # agent -> its edges in the caller's order, so an error names the first bad one
-        for agent, pairs in rel.items():
-            if agent not in self.agents:
+        for agent in rel:
+            if agent not in agents:
                 raise ModelError(f"relation for undeclared agent {agent!r}")
-            edges[agent] = pairs = list(map(tuple, pairs))
-            self.rel[agent] = frozenset(pairs)
-        n = len(self.worlds)
-        bit = [1 << k for k in range(n)]
+        bit = [1 << k for k in range(len(worlds))]
         succ, pred = {}, {}  # agent -> one mask per world
-        for agent in self.agents:
-            out, back = [0] * n, [0] * n
-            self.rel.setdefault(agent, frozenset())
-            try:
-                for s, t in edges.get(agent, ()):
+        for agent in agents:
+            succ[agent], pred[agent] = out, back = [0] * len(worlds), [0] * len(worlds)
+            try:  # the edges in the caller's order, so an error names the first bad one
+                for s, t in rel.get(agent, ()):
                     ks, kt = index[s], index[t]
                     out[ks] |= bit[kt]
                     back[kt] |= bit[ks]
             except KeyError:
                 raise ModelError(f"edge ({s!r}, {t!r}) mentions an unknown world") from None
-            succ[agent], pred[agent] = out, back
-        self.val: dict[str, frozenset[str]] = {}
         masks = {}
         for prop, where in val.items():
-            self.val[prop] = where = frozenset(where)
             try:
-                masks[prop] = sum(bit[index[w]] for w in where)
+                masks[prop] = reduce(or_, map(bit.__getitem__, map(index.__getitem__, where)), 0)
             except KeyError:
                 raise ModelError(f"valuation of {prop!r} mentions unknown worlds") from None
         if point is not None and point not in index:
             raise ModelError(f"point {point!r} is not a world")
-        self.point = point
-        self._index = index
-        self._space = _Space(n, succ, pred, masks)
+        self._store(worlds, agents, point, index, succ, pred, masks)
+
+    def _store(self, worlds, agents, point, index, succ, pred, val) -> "KripkeModel":
+        """Set the model's fields, unchecked, and return it: the names, the
+        index of the worlds (world -> bit position), one successor and one
+        predecessor mask per world for every agent (succ, pred), and one
+        mask per proposition (val).  __init__ calls it when its checks have
+        passed; a model that the library builds from masks calls it on a
+        blank instance, KripkeModel.__new__(KripkeModel)."""
+        self.worlds, self.agents, self.point, self._index = worlds, agents, point, index
+        self._space = _Space(len(worlds), succ, pred, val)
+        return self
+
+    def _named(self, mask: int):
+        """The worlds of a mask, in order."""
+        return compress(self.worlds, bin(mask)[:1:-1].encode().translate(_BINARY))
+
+    @cached_property
+    def rel(self) -> dict[str, frozenset[tuple[str, str]]]:
+        return {a: frozenset((s, t) for s, row in zip(self.worlds, rows) for t in self._named(row))
+                for a, rows in self._space.succ.items()}
+
+    @cached_property
+    def val(self) -> dict[str, frozenset[str]]:
+        return {p: frozenset(self._named(mask)) for p, mask in self._space.val.items()}
 
     def successors(self, agent: str, world: str) -> frozenset[str]:
-        return frozenset(t for s, t in self.rel.get(agent, ()) if s == world)
+        k, rows = self._index.get(world), self._space.succ.get(agent)
+        return frozenset() if k is None or rows is None else frozenset(self._named(rows[k]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KripkeModel):
             return NotImplemented
-        return (self.worlds == other.worlds and self.agents == other.agents
-                and self.rel == other.rel and self.val == other.val
-                and self.point == other.point)
+        return ((self.worlds, self.agents, self.point, self._space.succ, self._space.val)
+                == (other.worlds, other.agents, other.point, other._space.succ, other._space.val))
 
     def __repr__(self) -> str:
         return (f"KripkeModel(worlds={list(self.worlds)}, agents={list(self.agents)}, "
@@ -159,15 +172,13 @@ class KripkeModel:
     # -- JSON ----------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        order = self._index
+        sp = self._space
         doc = {
             "worlds": list(self.worlds),
             "agents": list(self.agents),
-            "rel": {a: sorted([list(e) for e in self.rel[a]],
-                              key=lambda e: (order[e[0]], order[e[1]]))
+            "rel": {a: [[s, t] for s, row in zip(self.worlds, sp.succ[a]) for t in self._named(row)]
                     for a in self.agents},
-            "val": {p: sorted(self.val[p], key=order.__getitem__)
-                    for p in sorted(self.val)},
+            "val": {p: list(self._named(sp.val[p])) for p in sorted(sp.val)},
         }
         if self.point is not None:
             doc["point"] = self.point
@@ -185,19 +196,30 @@ class KripkeModel:
         except KeyError as exc:
             raise ModelError(f"malformed model document: {exc}") from None
         rel, val, point = data.get("rel", {}), data.get("val", {}), data.get("point")
-        for ok, what in (
+
+        def faults(pairs: bool) -> list:  # the document's shape faults, in the order reported
+            return [what for ok, what in (
                 (_is_names(worlds), "worlds must be a list of strings"),
                 (_is_names(agents), "agents must be a list of strings"),
-                (isinstance(rel, dict) and all(isinstance(edges, list) and all(
-                    isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
-                    and isinstance(e[1], str) for e in edges) for edges in rel.values()),
+                (isinstance(rel, dict) and all(_is_edges(e, pairs) for e in rel.values()),
                  "rel must map each agent to a list of [source, target] world pairs"),
                 (isinstance(val, dict) and all(map(_is_names, val.values())),
                  "val must map each proposition to a list of worlds"),
-                ("point" not in data or isinstance(point, str), "point must be a world")):
-            if not ok:
-                raise ModelError(f"malformed model document: {what}")
-        return cls(worlds, agents, rel, val, point=point)
+                ("point" not in data or isinstance(point, str), "point must be a world")) if not ok]
+
+        # __init__'s loop that sets an edge's bits checks the rest of its
+        # shape: the edge must unpack into two names, and only strings name
+        # worlds.  So the first pass checks only that each edge is a list (a
+        # string or dict of two world names would unpack too), and a document
+        # that fails it or __init__ is checked in full, so that its first shape
+        # fault is reported before any fault of the model it describes
+        try:
+            if not faults(False):
+                return cls(worlds, agents, rel, val, point=point)
+        except (TypeError, ValueError):
+            if not faults(True):
+                raise
+        raise ModelError(f"malformed model document: {faults(True)[0]}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "KripkeModel":
@@ -214,7 +236,13 @@ def load_model(path) -> KripkeModel:
 
 
 def _is_names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))  # a loop in C
+
+
+def _is_edges(value, pairs: bool) -> bool:
+    """Whether value is a list of lists, and if pairs, each of two strings."""
+    return (isinstance(value, list) and all(map(isinstance, value, repeat(list)))
+            and (not pairs or all(len(e) == 2 and _is_names(e) for e in value)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +306,13 @@ def restrict(model: KripkeModel, f: Formula) -> Optional[KripkeModel]:
     mask = _ext(model._space, f, full, full, {})
     if not mask:
         return None
-    keep = {w for k, w in enumerate(model.worlds) if mask >> k & 1}
+    keep = list(model._named(mask))  # read from the masks: rel and val stay unbuilt
     return KripkeModel(
-        [w for w in model.worlds if w in keep],
+        keep,
         model.agents,
-        {a: [(s, t) for s, t in pairs if s in keep and t in keep]
-         for a, pairs in model.rel.items()},
-        {p: where & keep for p, where in model.val.items()},
+        {a: [(s, t) for s in keep for t in model._named(rows[model._index[s]] & mask)]
+         for a, rows in model._space.succ.items()},
+        {p: model._named(where & mask) for p, where in model._space.val.items()},
         point=model.point if model.point in keep else None,
     )
 
@@ -398,15 +426,15 @@ def frame_valid(model: KripkeModel, f: Formula) -> bool:
 # each property's test of one agent's relation, as successor and predecessor
 # masks per world
 _PROPERTY_TESTS = {
-    FrameProperty.SERIAL: lambda sp, succ, pred: all(succ),
-    FrameProperty.REFLEXIVE: lambda sp, succ, pred: all(m >> k & 1 for k, m in enumerate(succ)),
-    FrameProperty.SYMMETRIC: lambda sp, succ, pred: succ == pred,
-    # sRt and tRu imply sRu
-    FrameProperty.TRANSITIVE: lambda sp, succ, pred: all(not sp.image(succ, m) & ~m for m in succ),
-    # sRt and sRu imply tRu
-    FrameProperty.EUCLIDEAN: lambda sp, succ, pred: all(
-        not sp.image(succ, p) & ~m for m, p in zip(succ, pred)),
-    FrameProperty.PARTIAL_FUNCTIONAL: lambda sp, succ, pred: all(not m & (m - 1) for m in succ),
+    _P.SERIAL: lambda sp, succ, pred: all(succ),
+    _P.REFLEXIVE: lambda sp, succ, pred: all(m >> k & 1 for k, m in enumerate(succ)),
+    _P.SYMMETRIC: lambda sp, succ, pred: succ == pred,
+    # sRt and tRu imply sRu; each distinct row is imaged once
+    _P.TRANSITIVE: lambda sp, succ, pred: all(not sp.image(succ, m) & ~m for m in set(succ)),
+    # sRt and sRu imply tRu; each distinct (row, column) pair is imaged once
+    _P.EUCLIDEAN: lambda sp, succ, pred: all(
+        not sp.image(succ, p) & ~m for m, p in set(zip(succ, pred))),
+    _P.PARTIAL_FUNCTIONAL: lambda sp, succ, pred: all(not m & (m - 1) for m in succ),
 }
 
 

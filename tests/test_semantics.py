@@ -353,6 +353,56 @@ def test_model_document_schema(tmp_path):
     assert KripkeModel.from_dict(good) == m1()
 
 
+def test_edge_shape_faults_keep_their_texts():
+    """The loader sets an edge's bits in the loop that finds its names, so a
+    malformed edge must still be reported as a shape fault, before any fault
+    of the model it describes, and must never load as a pair of worlds."""
+    good = m1().to_dict()  # worlds s and t, agent i
+    shape = "malformed model document: "
+    rel_shape = shape + "rel must map each agent to a list of [source, target] world pairs"
+    val_shape = shape + "val must map each proposition to a list of worlds"
+    for bad, text in (
+            ({**good, "rel": {"i": ["st"]}}, rel_shape),  # unpacks to two known worlds
+            ({**good, "rel": {"i": [{"s": 0, "t": 1}]}}, rel_shape),  # so does a dict
+            ({**good, "rel": {"i": [["s", "u"], ["s", 1]]}}, rel_shape),
+            ({**good, "rel": {"i": [["s", "u"]], "j": 7}}, rel_shape),
+            ({**good, "rel": {"i": [["s", ["t"]]]}}, rel_shape),
+            ({**good, "rel": {"i": [[None, "t"]]}}, rel_shape),
+            ({**good, "rel": {"i": [["s"]]}}, rel_shape),
+            ({**good, "rel": {"j": [["s", "t", "s"]]}}, rel_shape),  # an undeclared agent's
+            ({**good, "rel": {"i": [["s", 1]]}, "val": {"p": "s"}}, rel_shape),
+            ({**good, "rel": {"i": [["s"]]}, "point": 1}, rel_shape),
+            ({**good, "rel": {"i": [["s", "u"]]}, "point": None}, shape + "point must be a world"),
+            ({**good, "worlds": ["s", "s"], "rel": {"i": [["s", "u"]]}}, "duplicate world names"),
+            ({**good, "worlds": [], "val": {"p": "s"}}, val_shape),
+            ({**good, "val": {"p": [1]}}, val_shape)):
+        with pytest.raises(ModelError) as info:
+            KripkeModel.from_dict(bad)
+        assert str(info.value) == text, bad
+    twice = KripkeModel.from_dict({**good, "val": {"q": ["t", "s", "t"]}})
+    assert twice.val == {"q": frozenset({"s", "t"})}
+    assert mc(twice, "s", parse("q")) and mc(twice, "t", parse("q"))
+
+
+def test_loading_and_evaluating_build_no_pair_sets(tmp_path):
+    """kwl mc and kwl frame read only the masks: rel and val are built on
+    first read, and loading, mc, model_valid, frame_properties and
+    successors read neither."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"worlds": ["s", "t", "u"], "agents": ["i", "j"],
+                                "rel": {"i": [["s", "t"], ["t", "t"]], "j": []},
+                                "val": {"p": ["t"]}}))
+    model = load_model(path)
+    assert mc(model, "s", parse("K[i]p & Kw[j]p"))
+    assert model_valid(model, parse("Kw[i]p")) and not model_valid(model, parse("p"))
+    assert frame_properties(model) == {FrameProperty.TRANSITIVE, FrameProperty.EUCLIDEAN,
+                                       FrameProperty.PARTIAL_FUNCTIONAL}
+    assert model.successors("i", "s") == {"t"} and model.successors("j", "s") == frozenset()
+    assert "rel" not in vars(model) and "val" not in vars(model)
+    assert model.rel == {"i": frozenset({("s", "t"), ("t", "t")}), "j": frozenset()}
+    assert "rel" in vars(model)
+
+
 def test_loaded_masks_match_the_edges():
     """The loader's relation and valuation masks against masks built edge by
     edge, on documents with duplicate edges, self-loops, an agent without a
