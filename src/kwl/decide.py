@@ -5,9 +5,14 @@ removes announcements and Kw with it.  An announcement is rewritten by one
 reduction axiom (kwl.translate.step) and the pass goes on with the result,
 so no announcement-free copy is built first.  Kw[i]g becomes K[i]g | K[i]~g
 in general, and top over partial-functional frames, where it holds
-everywhere.  A tableau then searches for a model; a satisfiable verdict
-carries one, re-checked against the original formula by the model checker
-and with satisfies_class against the frame class.
+everywhere.  The normal form is not made of formula nodes but of ints that
+live for the call, one per distinct node, with each node's complement at
+code ^ 1 (as concepts in FaCT++: Tsarkov & Horrocks, IJCAR 2006).  So a
+clash of p with ~p, or a disjunct against its complement, is one lookup,
+and without announcements sat builds no formula node.  A tableau then
+searches for a model; a satisfiable verdict carries one, re-checked against
+the original formula by the model checker and with satisfies_class against
+the frame class.
 
 Each world but the root is made by one diamond of its parent, so the edges
 form a tree, and a box moves along it one edge at a time by single-step
@@ -43,8 +48,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .formula import (
-    BOT,
-    TOP,
     And,
     Announce,
     Bot,
@@ -53,14 +56,11 @@ from .formula import (
     Implies,
     K,
     Kw,
-    Modal,
     Not,
     Or,
     Prop,
     Top,
-    agents_of,
-    node_class,
-    props_of,
+    vocabulary,
 )
 from .semantics import (
     FrameClass,
@@ -92,20 +92,27 @@ class Validity:
     branches: int
 
 
-@node_class
-class _Dia(Modal):
-    """Internal NNF-only dual of K; never rendered."""
-
-    agent: str
-    sub: Formula
+# The kinds of normal-form nodes, in complementary pairs: the complement of
+# a code is code ^ 1, and its kind is the kind ^ 1.
+_PROP, _NEG, _TOP, _BOT, _AND, _OR, _BOX, _DIA = range(8)
+# the nodes whose normal form has their own shape, given such children
+_SHAPES = (Top, Bot, And, Or, K)
 
 
 class _Tableau:
     """One call's search, on one branch that it changes in place.  work is
     counted against the budget, preprocessing included: one tick per new
-    world, label entry and NNF memo entry.
+    world, label entry and request of a normal form that no request has
+    reached before (nnf, _ask).
 
-    labels maps each world to its formulas, each with its mask (module
+    The normal form is made of codes, ints that live for the call.  Code c
+    is the node (kind[c], x[c], y[c]): a letter's name and None, an agent
+    and the code of its body, or the codes of two children (None and None
+    for top and bot).  codes maps each node back to its code.  A code's
+    complement is code ^ 1, made with it: ~p for p, bot for top, ~x | ~y
+    for x & y, and the diamond of ~y for K[a]y.
+
+    labels maps each world to its codes, each with its mask (module
     docstring), in arrival order, so that boxes move in that order whatever
     the string-hash seed.  Worlds are the keys of labels, 0, 1, ... in
     creation order; 0 is the root.  succ[w][a] maps w's a-children to their
@@ -132,7 +139,10 @@ class _Tableau:
         self.branches = 0
         self.work = 0
         self.nnf_memo: dict = {}
-        self.complements: dict = {}  # a disjunction -> its disjuncts' normal-form negations
+        self.kind, self.x, self.y = [], [], []
+        self.codes: dict = {}
+        self.asked: set = set()  # the codes whose complement has been requested
+        self.shaped: set = set()  # input nodes, met under negation, already in normal form
         self.labels: dict[int, dict] = {}
         self.succ: dict[int, dict] = {}
         self.parent: dict[tuple, tuple] = {}
@@ -147,19 +157,43 @@ class _Tableau:
         if self.work > self.budget:
             raise BudgetExceeded(f"tableau budget of {self.budget} nodes exhausted")
 
-    def nnf(self, f: Formula, neg: bool) -> Formula:
-        """Negation normal form of f, or of ~f when neg is set, with Kw and
-        announcements expanded.
+    def _code(self, kind, x, y) -> int:
+        """The code of the node (kind, x, y), made on first use together with
+        its complement."""
+        key = (kind, x, y)
+        code = self.codes.get(key)
+        if code is None:
+            if kind < _AND:  # a letter, top or bot
+                twin = (kind ^ 1, x, y)
+            elif kind < _BOX:  # a connective: both children complemented
+                twin = (kind ^ 1, x ^ 1, y ^ 1)
+            else:  # a modality: its body complemented
+                twin = (kind ^ 1, x, y ^ 1)
+            code = self.codes[key] = len(self.kind)
+            self.codes[twin] = code + 1
+            self.kind += kind, twin[0]
+            self.x += x, twin[1]
+            self.y += y, twin[2]
+        return code
 
-        Kw[i]g becomes K[i]g | K[i]~g, and ~Kw[i]g becomes _Dia(i,~g) & _Dia(i,g);
-        over partial-functional frames (pf) Kw[i]g holds everywhere and becomes
-        top.  [a]b becomes the normal form of step([a]b), its one-step rewrite,
-        which is the normal form of reduce([a]b) node for node.  The output has
-        negation on propositions only, and no ->, <->, Kw or announcement.
-        Memoised on (node, neg) for the call, so a subformula that Kw, <-> or a
-        reduction axiom copies is translated once per polarity, and
-        _resolve_splits finds a disjunct's complement here.  A memo miss ticks
-        the budget before it recurses, so a blow-up stops after budget misses.
+    def nnf(self, f: Formula, neg: bool) -> int:
+        """The code of the negation normal form of f, or of ~f when neg is
+        set, with Kw and announcements expanded.
+
+        Kw[i]g becomes K[i]g | K[i]~g, and ~Kw[i]g becomes ~K[i]g & ~K[i]~g,
+        two diamonds; over partial-functional frames (pf) Kw[i]g holds
+        everywhere and becomes top.  [a]b becomes the normal form of
+        step([a]b), its one-step rewrite, which is the normal form of
+        reduce([a]b) node for node.  The output has negation on letters
+        only, and no ->, <->, Kw or announcement.  Memoised on (node, neg)
+        for the call, so a subformula that Kw, <-> or a reduction axiom
+        copies is translated once per polarity.  A memo miss ticks the
+        budget before it recurses, so a blow-up stops after budget misses.
+
+        f under negation, for f in normal-form shape (a letter, top, bot, or
+        &, | or K over such nodes or a negated letter), is the request that
+        _ask makes for the complement of f's code, and so is a letter under
+        either polarity for its complement's; asked records it.
         """
         while type(f) is Not:  # a ~ flips neg: no stack frame, memo entry or tick
             f, neg = f.sub, not neg
@@ -168,36 +202,58 @@ class _Tableau:
         if out is not None:
             return out
         self._tick()
-        nnf, t = self.nnf, type(f)
+        nnf, code, t = self.nnf, self._code, type(f)
         if t is Prop:
-            out = Not(f) if neg else f
+            out = code(_NEG if neg else _PROP, f.name, None)
         elif t is And or t is Or:
-            op = (Or if t is And else And) if neg else t
-            out = op(nnf(f.left, neg), nnf(f.right, neg))
-        elif t is K or t is _Dia:
-            op = (_Dia if t is K else K) if neg else t
-            out = op(f.agent, nnf(f.sub, neg))
+            out = code(_OR if (t is Or) != neg else _AND, nnf(f.left, neg), nnf(f.right, neg))
+        elif t is K:
+            out = code(_DIA if neg else _BOX, f.agent, nnf(f.sub, neg))
         elif t is Top or t is Bot:
-            out = (BOT if t is Top else TOP) if neg else f
+            out = code(_BOT if (t is Top) == neg else _TOP, None, None)
         elif t is Implies:
-            a, b = nnf(f.left, not neg), nnf(f.right, neg)
-            out = And(a, b) if neg else Or(a, b)
+            out = code(_AND if neg else _OR, nnf(f.left, not neg), nnf(f.right, neg))
         elif t is Iff:
-            out = Or(And(nnf(f.left, False), nnf(f.right, neg)),
-                     And(nnf(f.left, True), nnf(f.right, not neg)))
+            out = code(_OR, code(_AND, nnf(f.left, False), nnf(f.right, neg)),
+                       code(_AND, nnf(f.left, True), nnf(f.right, not neg)))
         elif t is Kw:
             if self.pf:
-                out = BOT if neg else TOP
+                out = code(_BOT if neg else _TOP, None, None)
             else:
                 pos, negd = nnf(f.sub, False), nnf(f.sub, True)
-                out = (And(_Dia(f.agent, negd), _Dia(f.agent, pos)) if neg
-                       else Or(K(f.agent, pos), K(f.agent, negd)))
+                out = (code(_AND, code(_DIA, f.agent, negd), code(_DIA, f.agent, pos)) if neg
+                       else code(_OR, code(_BOX, f.agent, pos), code(_BOX, f.agent, negd)))
         elif t is Announce:
             out = nnf(step(f), neg)
         else:
             raise TypeError(f"not a formula: {f!r}")
         self.nnf_memo[key] = out
+        # a child under negation was met here under negation too, so shaped knows it
+        if t is Prop or neg and t in _SHAPES and all(map(self._shaped, f.children())):
+            self.shaped.add(f)
+            self.asked.add(out ^ 1)
         return out
+
+    def _shaped(self, g) -> bool:
+        return g in self.shaped or (type(g) is Not and type(g.sub) is Prop)
+
+    def _ask(self, *codes):
+        """Request the complement of each code in turn, ticking as nnf would
+        on the formula the code stands for under negation: once for each
+        node of it, in preorder, whose complement no request has reached
+        (asked), and for none below such a node.  A ~p stands for p under no
+        negation.  A loop, so no stack frame per level."""
+        asked, stack = self.asked, list(reversed(codes))
+        while stack:
+            c = stack.pop()
+            if c not in asked:
+                self._tick()
+                asked.add(c)
+                kind = self.kind[c]
+                if kind >= _AND:  # a connective or a modality
+                    stack.append(self.y[c])
+                    if kind < _BOX:
+                        stack.append(self.x[c])
 
     def _blocker(self, w) -> int:
         """The first world with w's formulas over transitive and euclidean frames, else w."""
@@ -237,28 +293,28 @@ class _Tableau:
 
     def _move_box(self, w, box, mask):
         """Send the box K[a]b at w one step along w's a-edges (module docstring)."""
-        agent = box.agent
+        agent, sub = self.x[box], self.y[box]
         up = self.parent.get((w, agent))
         if self.reflexive or (self.euclidean and up is not None):
-            self._add(w, box.sub, mask)
+            self._add(w, sub, mask)
         for v, edge in self.succ[w][agent].items():
-            self._cross(w, v, box, mask | edge)
+            self._cross(w, v, agent, box, mask | edge)
         if up is None:
             return
         u, edge = up
         if self.symmetric:
-            self._add(u, box.sub, mask | edge)
+            self._add(u, sub, mask | edge)
         if self.euclidean:
             # R(u) lies within R(w), and a sibling in w's cluster gets b by its own rules
             self._add(u, box, mask | edge)
             for s, edge in self.succ[u][agent].items():
                 self._add(s, box, mask | edge)
 
-    def _cross(self, u, v, box, mask):
+    def _cross(self, u, v, agent, box, mask):
         """Send a box at u over the edge u -> v: its body (K), and itself over
         transitive frames (4) or, from u's own cluster, euclidean ones (5)."""
-        self._add(v, box.sub, mask)
-        if self.transitive or (self.euclidean and (self.reflexive or (u, box.agent) in self.parent)):
+        self._add(v, self.y[box], mask)
+        if self.transitive or (self.euclidean and (self.reflexive or (u, agent) in self.parent)):
             self._add(v, box, mask)
 
     def _add_edge(self, agent, u, v, mask):
@@ -267,7 +323,7 @@ class _Tableau:
         self._put(self.succ[u][agent], v, mask)
         self._put(self.parent, (v, agent), (u, mask))
         for box, m in self.boxes[u][agent].items():
-            self._cross(u, v, box, m | mask)
+            self._cross(u, v, agent, box, m | mask)
         if self.euclidean:
             for s in self.succ[u][agent]:  # v itself has no boxes yet
                 for box, m in self.boxes[s][agent].items():
@@ -275,39 +331,36 @@ class _Tableau:
 
     def _saturate(self) -> Optional[int]:
         """Apply the deterministic rules; the mask of a clash, or None."""
-        while self.det:
-            w, f = self.det.popleft()
+        kinds, det = self.kind, self.det
+        while det:
+            w, f = det.popleft()
             labs = self.labels[w]
             mask = labs[f]
-            # an if-chain on the exact type, as in semantics._ext; top and
-            # diamonds do nothing here
-            t = type(f)
-            if t is And:
-                self._add(w, f.left, mask)
-                self._add(w, f.right, mask)
-            elif t is Or:
+            # an if-chain on the kind; top and diamonds do nothing here
+            kind = kinds[f]
+            if kind == _AND:
+                self._add(w, self.x[f], mask)
+                self._add(w, self.y[f], mask)
+            elif kind == _OR:
                 self.splits.append((w, f))
-            elif t is K:
-                self._put(self.boxes[w][f.agent], f, mask)
+            elif kind == _BOX:
+                self._put(self.boxes[w][self.x[f]], f, mask)
                 self._move_box(w, f, mask)
-            elif t is Prop:
-                other = labs.get(Not(f))
+            elif kind < _TOP:  # a letter or its negation, against its complement
+                other = labs.get(f ^ 1)
                 if other is not None:
                     return mask | other
-            elif t is Not:
-                other = labs.get(f.sub)
-                if other is not None:
-                    return mask | other
-            elif t is Bot:
+            elif kind == _BOT:
                 return mask
         return None
 
     def _fire_one(self) -> bool:
         """Expand the diamonds of one world (or one seriality obligation); True on progress."""
         # both loops return right after _new_world, so no dict grows under them
+        kind, agent_of = self.kind, self.x
         for w, labs in self.labels.items():
             # its pending diamonds: the unfired ones on its label, in label order
-            dias = [f for f in labs if type(f) is _Dia and (w, f) not in self.fired]
+            dias = [f for f in labs if kind[f] == _DIA and (w, f) not in self.fired]
             if not dias or self._blocker(w) != w:
                 continue
             # the order in which box and diamond bodies reach the successor's
@@ -315,18 +368,18 @@ class _Tableau:
             if self.pf:
                 # at most one successor per world and agent: all of the least
                 # agent's diamonds fire into it, after its boxes
-                agent = min(f.agent for f in dias)
-                fire = [f for f in dias if f.agent == agent]
+                agent = min(agent_of[f] for f in dias)
+                fire = [f for f in dias if agent_of[f] == agent]
                 succ = self.succ[w][agent]
                 v = next(iter(succ)) if succ else self._new_world()
                 if not succ:
                     self._add_edge(agent, w, v, labs[fire[0]])
             else:
-                agent, fire = dias[0].agent, dias[:1]
+                agent, fire = agent_of[dias[0]], dias[:1]
                 v = self._new_world()
             for f in fire:
                 self._put(self.fired, (w, f), True)
-                self._add(v, f.sub, labs[f])
+                self._add(v, self.y[f], labs[f])
             if not self.pf:
                 self._add_edge(agent, w, v, labs[fire[0]])
             return True
@@ -343,27 +396,27 @@ class _Tableau:
         a clash, or None.  Two refuted disjuncts close the branch even when
         one is on the label (a sibling's box can bring it early).  Otherwise
         a disjunct on the label drops the split, and one refuted disjunct
-        forces the other (unit propagation) through det.  A disjunction's
-        two complements are looked up in the nnf memo once per call, at its
-        first visit, where their memo misses tick; later visits read them
-        from self.complements.  Looking them up when the split is queued
-        would tick for splits never visited, and move budget edges.
+        forces the other (unit propagation) through det.  A disjunct's
+        complement is its code ^ 1.  Both are requested (_ask) at the
+        disjunction's first visit, where they tick; requesting them when the
+        split is queued would tick for splits never visited, and move budget
+        edges.
         """
-        pending, complements = [], self.complements
+        pending, asked = [], self.asked
         for w, f in self.splits:
             labs = self.labels[w]
-            pair = complements.get(f)
-            if pair is None:
-                pair = complements[f] = (self.nnf(f.left, True), self.nnf(f.right, True))
-            left_out, right_out = labs.get(pair[0]), labs.get(pair[1])
+            left, right = self.x[f], self.y[f]
+            if left not in asked or right not in asked:
+                self._ask(left, right)
+            left_out, right_out = labs.get(left ^ 1), labs.get(right ^ 1)
             if left_out is not None and right_out is not None:
                 return labs[f] | left_out | right_out
-            if f.left in labs or f.right in labs:
+            if left in labs or right in labs:
                 continue
             if left_out is not None:
-                self._add(w, f.right, labs[f] | left_out)
+                self._add(w, right, labs[f] | left_out)
             elif right_out is not None:
-                self._add(w, f.left, labs[f] | right_out)
+                self._add(w, left, labs[f] | right_out)
             else:
                 pending.append((w, f))
         self.splits = pending
@@ -387,7 +440,7 @@ class _Tableau:
                 bit = 1 << level
                 mask = self.labels[w][f] | bit
                 splits, mark, clashes = self.splits, len(self.trail), 0
-                for right, piece in enumerate((f.left, f.right)):
+                for right, piece in enumerate((self.x[f], self.y[f])):
                     # nothing reads splits after the loop, so the right child takes it
                     self.splits = splits if right else list(splits)
                     self._add(w, piece, mask)
@@ -402,7 +455,7 @@ class _Tableau:
                 self.branches += 1
                 return None
 
-    def extract(self, original: Formula) -> KripkeModel:
+    def extract(self, original: Formula, props) -> KripkeModel:
         n = len(self.labels)  # world w is bit w of the model's masks
         succ, pred = {}, {}
         for agent in self.agents:
@@ -413,8 +466,10 @@ class _Tableau:
             for x, y in self._close(self.labels, pairs):
                 out[x] |= 1 << y
                 back[y] |= 1 << x
-        val = {p: sum(1 << w for w in self.labels if Prop(p) in self.labels[w])
-               for p in sorted(props_of(original))}
+        val = {}
+        for p in sorted(props):
+            code = self.codes.get((_PROP, p, None))  # None for a letter that nnf dropped
+            val[p] = sum(1 << w for w, labs in self.labels.items() if code in labs)
         worlds = tuple(f"w{w}" for w in self.labels)
         model = KripkeModel.__new__(KripkeModel)._store(
             worlds, tuple(self.agents), "w0", dict(zip(worlds, range(n))), succ, pred, val)
@@ -449,12 +504,13 @@ class _Tableau:
 
 def sat(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> DecisionResult:
     """Satisfiability of f over the class; a SAT verdict carries a verified model."""
-    tab = _Tableau(frame_class, sorted(agents_of(f)), budget)
+    props, agents = vocabulary(f)
+    tab = _Tableau(frame_class, sorted(agents), budget)
     root = tab.nnf(f, False)  # nnf ticks before the root world does
     tab._add(tab._new_world(), root, 0)
     if tab.search() is not None:
         return DecisionResult(False, None, tab.prefixes, tab.branches)
-    return DecisionResult(True, tab.extract(f), tab.prefixes, tab.branches)
+    return DecisionResult(True, tab.extract(f, props), tab.prefixes, tab.branches)
 
 
 def valid(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> Validity:

@@ -373,12 +373,23 @@ def classify_language(f: Formula) -> Language:
     return next(lang for lang in Language if not ops & _OUTSIDE[lang])
 
 
+def vocabulary(f: Formula) -> tuple[set[str], set[str]]:
+    """The letters and the agents of f, from one walk."""
+    props, agents = set(), set()
+    for g in subformulas(f):
+        if type(g) is Prop:
+            props.add(g.name)
+        elif isinstance(g, Modal):
+            agents.add(g.agent)
+    return props, agents
+
+
 def props_of(f: Formula) -> set[str]:
-    return {g.name for g in subformulas(f) if isinstance(g, Prop)}
+    return vocabulary(f)[0]
 
 
 def agents_of(f: Formula) -> set[str]:
-    return {g.agent for g in subformulas(f) if isinstance(g, Modal)}
+    return vocabulary(f)[1]
 
 
 # ---------------------------------------------------------------------------

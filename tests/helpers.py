@@ -6,6 +6,7 @@ import itertools
 import pathlib
 from typing import Iterator, Sequence
 
+from kwl import decide
 from kwl.formula import (
     BOT,
     TOP,
@@ -18,6 +19,7 @@ from kwl.formula import (
     K,
     Kw,
     Language,
+    Modal,
     Not,
     Or,
     Prop,
@@ -25,12 +27,36 @@ from kwl.formula import (
     conj,
     disj,
     in_language,
+    node_class,
     props_of,
     subformulas,
 )
 from kwl.semantics import FrameClass, FrameProperty, KripkeModel, satisfies_class
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@node_class
+class Dia(Modal):
+    """A modal node that kwl does not define: the diamond of agent over sub,
+    read as ~K[agent]~sub.  It spells the diamonds of the tableau's normal
+    form (decode_nnf), and is a node that kwl's walks do not know."""
+
+    agent: str
+    sub: Formula
+
+
+def decode_nnf(tab: decide._Tableau, code: int) -> Formula:
+    """The formula that a code of tab's normal form stands for, its diamonds
+    spelt with Dia."""
+    kind, x, y = tab.kind[code], tab.x[code], tab.y[code]
+    if kind in (decide._PROP, decide._NEG):
+        return Prop(x) if kind == decide._PROP else Not(Prop(x))
+    if kind in (decide._TOP, decide._BOT):
+        return TOP if kind == decide._TOP else BOT
+    if kind in (decide._AND, decide._OR):
+        return (And if kind == decide._AND else Or)(decode_nnf(tab, x), decode_nnf(tab, y))
+    return (K if kind == decide._BOX else Dia)(x, decode_nnf(tab, y))
 
 
 def abstraction_letters(f: Formula) -> dict:

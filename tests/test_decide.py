@@ -1,5 +1,6 @@
 """Tableau satisfiability and validity against independent oracles."""
 
+import gc
 import json
 import os
 import random
@@ -12,13 +13,16 @@ import pytest
 
 from helpers import (
     ROOT,
+    Dia,
+    decode_nnf,
     enumerate_class_models,
     enumerate_formulas,
     random_formula,
     random_model,
     reference_mc,
 )
-from kwl.decide import BudgetExceeded, DecisionResult, Validity, _Dia, _Tableau, sat, valid
+from kwl import formula
+from kwl.decide import BudgetExceeded, DecisionResult, Validity, _Tableau, sat, valid
 from kwl.fixtures import m1
 from kwl.formula import (
     Announce,
@@ -30,6 +34,7 @@ from kwl.formula import (
     Language,
     Not,
     Prop,
+    fold,
     parse,
     render,
     subformulas,
@@ -407,6 +412,34 @@ def test_a_one_branch_search_keeps_memory_linear_in_its_depth():
     assert peaks[1] < 2.5 * peaks[0], peaks
 
 
+def test_a_complement_in_normal_form_shape_ticks_as_the_input_node():
+    # ~(p & q) asks nnf for p & q under negation, where p & q is already in
+    # normal form: the complement that the split asks for later is that
+    # request, and does not tick again
+    f = parse("((p & q) | r) & ~(p & q) & ~r")
+    assert not sat(f, FrameClass.K, budget=17).satisfiable
+    with pytest.raises(BudgetExceeded):
+        sat(f, FrameClass.K, budget=16)
+
+
+def test_sat_builds_no_formula_node(monkeypatch):
+    # the normal form is made of codes: without announcements, sat builds no
+    # node, and the model's re-check with mc builds none either
+    f = parse("(Kw[i]p | ~K[j](q -> r)) & (p <-> ~q) & ~Kw[j](r & K[i]p)")
+    sizes = []
+    extract = _Tableau.extract
+
+    def counted(self, *args):
+        sizes.append(len(formula._NODES))
+        return extract(self, *args)
+
+    monkeypatch.setattr(_Tableau, "extract", counted)
+    gc.collect()
+    before = len(formula._NODES)
+    assert sat(f, FrameClass.K).satisfiable
+    assert sizes == [before]
+
+
 def test_small_dag_is_refuted_within_a_small_budget():
     # chronological backtracking exhausted a budget of 10^6 here after 5.4 s
     f = parse("~[[[q]q & (r & q) -> [p | p](p -> r)]Kw[i](~q -> r & r)][p]Kw[i](q -> Kw[j]p)")
@@ -426,23 +459,24 @@ def nnf_inputs():
 
 
 def _nnf(f, neg, pf):
-    """The negation normal form that one call of sat would build."""
-    return _Tableau(FrameClass.PF if pf else FrameClass.K, [], 10**6).nnf(f, neg)
+    """The negation normal form that one call of sat would build, decoded.
+    f may hold the Dia of an earlier output, which is read as ~K~."""
+    tab = _Tableau(FrameClass.PF if pf else FrameClass.K, [], 10**6)
+    return decode_nnf(tab, tab.nnf(_undia(f), neg))
 
 
 def _undia(f):
-    """_Dia(a, g) read as ~K[a]~g, so that mc can evaluate the output of _nnf."""
-    if isinstance(f, _Dia):
-        return Not(K(f.agent, Not(_undia(f.sub))))
-    return f.map(_undia)
+    """Dia(a, g) read as ~K[a]~g, so that mc and nnf can take the output of _nnf."""
+    return fold(f, lambda g, image: Not(K(g.agent, Not(image(g.sub)))) if type(g) is Dia
+                else g.map(image))
 
 
 def test_walks_reject_what_is_not_a_formula():
     """Each walk over formulas ends in a TypeError on a node it does not know:
-    a string, or the tableau's private diamond outside the tableau."""
+    a string, or a node class that kwl does not define."""
     for call in (lambda: mc(m1(), "s", "p"),
-                 lambda: render(_Dia("i", Prop("p"))),
-                 lambda: step(Announce(Prop("p"), _Dia("i", Prop("p")))),
+                 lambda: render(Dia("i", Prop("p"))),
+                 lambda: step(Announce(Prop("p"), Dia("i", Prop("p")))),
                  lambda: _Tableau(FrameClass.K, [], 10).nnf("p", False)):
         with pytest.raises(TypeError, match="not a formula"):
             call()

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Dia,
     count_formulas,
     enumerate_formulas,
     node_count,
@@ -21,7 +22,7 @@ from helpers import (
     reference_operators,
 )
 from kwl import formula
-from kwl.decide import _Dia, sat, valid
+from kwl.decide import sat, valid
 from kwl.formula import (
     BOT,
     TOP,
@@ -216,7 +217,7 @@ def test_props_agents():
 
 def test_children_and_map_per_node_type():
     nodes = [TOP, BOT, P, Not(P), And(P, Q), Or(P, Q), Implies(P, Q), Iff(P, Q),
-             Kw("i", P), K("i", P), _Dia("i", P), Announce(P, Q)]
+             Kw("i", P), K("i", P), Dia("i", P), Announce(P, Q)]
     for f in nodes:
         subs = {fld.name: getattr(f, fld.name) for fld in dataclasses.fields(f)
                 if isinstance(getattr(f, fld.name), Formula)}
@@ -390,7 +391,7 @@ def test_equal_formulas_are_one_node():
     assert dataclasses.replace(Announce(P, Q), body=R) is Announce(P, R)
     assert parse("Kw[i](p & q)") is Kw("i", And(P, Q))
     # the class is part of a node's identity
-    assert _Dia("i", P) is not K("i", P)
+    assert Dia("i", P) is not K("i", P)
     assert And(P, Q) is not Or(P, Q)
     with pytest.raises(TypeError):
         Prop()
@@ -403,7 +404,7 @@ def test_equal_formulas_are_one_node():
 
 
 def test_copies_and_pickles_are_the_interned_node():
-    for f in (TOP, P, parse("Kw[i](p -> [q]~r) <-> K[j]bot"), _Dia("i", Not(P))):
+    for f in (TOP, P, parse("Kw[i](p -> [q]~r) <-> K[j]bot"), Dia("i", Not(P))):
         assert copy.copy(f) is f
         assert copy.deepcopy(f) is f
         assert pickle.loads(pickle.dumps(f)) is f

@@ -441,6 +441,37 @@ def test_loaded_masks_match_the_edges():
         assert m._space.val == masks
 
 
+def test_decoders_on_a_sparse_100_world_model():
+    """rel, val, to_dict, successors and restrict list a mask's worlds by its
+    set bits (or, on a dense mask, in C); each against a reference built
+    world by world from the edges, on rows whose few bits sit far apart."""
+    rng = random.Random(9)
+    worlds = [f"w{k}" for k in range(100)]
+    edges = {a: sorted({(s, t) for s in range(100) for t in rng.sample(range(100), rng.randint(0, 3))})
+             for a in ("i", "j")}
+    where = {"p": sorted(rng.sample(range(100), 5)), "q": [99], "r": [], "dense": list(range(0, 100, 2))}
+    m = KripkeModel(worlds, ["i", "j"], {a: [(worlds[s], worlds[t]) for s, t in pairs]
+                                         for a, pairs in edges.items()},
+                    {p: [worlds[k] for k in ks] for p, ks in where.items()}, point="w0")
+    named = {a: [(worlds[s], worlds[t]) for s, t in pairs] for a, pairs in edges.items()}
+    assert m.rel == {a: frozenset(pairs) for a, pairs in named.items()}
+    assert m.val == {p: frozenset(worlds[k] for k in ks) for p, ks in where.items()}
+    doc = m.to_dict()
+    assert doc["rel"] == {a: [list(e) for e in pairs] for a, pairs in named.items()}
+    assert doc["val"] == {p: [worlds[k] for k in ks] for p, ks in sorted(where.items())}
+    for a, pairs in edges.items():
+        for k, w in enumerate(worlds):
+            assert m.successors(a, w) == {worlds[t] for s, t in pairs if s == k}
+    for text in ("p | K[i]q", "~dense", "K[j]~r"):
+        f = parse(text)
+        keep = [k for k, w in enumerate(worlds) if mc(m, w, f)]
+        sub = restrict(m, f)
+        assert sub.worlds == tuple(worlds[k] for k in keep)
+        assert sub.rel == {a: {(worlds[s], worlds[t]) for s, t in pairs if s in keep and t in keep}
+                           for a, pairs in edges.items()}
+        assert sub.val == {p: {worlds[k] for k in ks if k in keep} for p, ks in where.items()}
+
+
 def test_evaluator_agrees_with_reference():
     """mc, model_valid, restrict and frame_valid against the world-by-world
     oracle, on models with worlds that see nothing and formulas with
