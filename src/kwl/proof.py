@@ -21,6 +21,7 @@ from .formula import (
     _IDENT_RE,
     And,
     Announce,
+    Binary,
     Bot,
     Formula,
     Iff,
@@ -107,35 +108,65 @@ def _is_meta(name: str) -> bool:
     return name.isupper()
 
 
-def _bind(b: dict, meta: str, value) -> bool:
-    """Bind a metavariable in b, or check the value it is bound to."""
-    return b.setdefault(meta, value) == value
+# A schema is matched through its program: one entry (cls, x, how) per node
+# of its tree, in preorder.  _run reads f in the same preorder from a list,
+# the entry's node of f on top: that node must be of class cls, unless cls is
+# None, and how says what else to check and which children to push.  A
+# metavariable x binds the node itself (ATOM's cls is Prop), and a letter,
+# top or bot must be the node x; a modality binds its metavariable agent x,
+# or compares its fixed agent x.  Nodes are interned, so a metavariable met
+# again is checked by identity.
+_META, _SAME, _NOT, _MODAL, _AGENT, _BINARY, _ANNOUNCE = range(7)
+_PROGRAMS: dict = {}  # schema name -> its program, built at first use
 
 
-def _match(schema: Formula, f: Formula, b: dict) -> bool:
-    """Match f against the schema, growing the binding dict b."""
-    if isinstance(schema, Prop) and _is_meta(schema.name):
-        if schema.name == "ATOM" and not isinstance(f, Prop):
-            return False
-        return _bind(b, schema.name, f)
-    if type(schema) is not type(f):
-        return False
-    if isinstance(schema, Prop):
-        return schema.name == f.name
-    if isinstance(schema, Modal):
-        agent = schema.agent
-        if not (_bind(b, agent, f.agent) if _is_meta(agent) else agent == f.agent):
-            return False
-    for x, y in zip(schema.children(), f.children()):
-        if not _match(x, y, b):
-            return False
-    return True
+def _flatten(schema: Formula) -> tuple:
+    """The program of schema (see _run)."""
+
+    def rule(g: Formula, image) -> tuple:
+        kind = type(g)
+        if kind is Prop and _is_meta(g.name):
+            return ((Prop if g.name == "ATOM" else None, g.name, _META),)
+        if isinstance(g, Modal):
+            entry = (kind, g.agent, _MODAL if _is_meta(g.agent) else _AGENT)
+        else:
+            how = (_BINARY if isinstance(g, Binary) else _NOT if kind is Not
+                   else _ANNOUNCE if kind is Announce else _SAME)
+            entry = (kind, g if how == _SAME else None, how)
+        return sum(map(image, g.children()), (entry,))
+
+    return fold(schema, rule)
+
+
+def _run(program: tuple, f: Formula) -> Optional[dict]:
+    """Bindings under which f matches the schema of program, or None."""
+    b: dict = {}
+    todo = [f]
+    for kind, x, how in program:
+        g = todo.pop()
+        if kind is not None and type(g) is not kind:
+            return None
+        if how == _META:
+            if b.setdefault(x, g) is not g:
+                return None
+        elif how == _BINARY:
+            todo += (g.right, g.left)
+        elif how == _ANNOUNCE:
+            todo += (g.body, g.announced)
+        elif how == _SAME:
+            if g is not x:
+                return None
+        else:  # Not, or a modality
+            if how != _NOT and (b.setdefault(x, g.agent) if how == _MODAL else x) != g.agent:
+                return None
+            todo.append(g.sub)
+    return b
 
 
 def match_axiom(name: str, f: Formula) -> Optional[dict]:
     """Bindings under which f instantiates the named schema, or None."""
-    b: dict = {}
-    return b if _match(AXIOMS[name], f, b) else None
+    program = _PROGRAMS.get(name) or _PROGRAMS.setdefault(name, _flatten(AXIOMS[name]))
+    return _run(program, f)
 
 
 def instantiate(schema: Formula, bindings: dict) -> Formula:

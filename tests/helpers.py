@@ -106,6 +106,34 @@ def reference_taut(f: Formula) -> bool:
     return bits(f) == full
 
 
+def reference_match(schema: Formula, f: Formula) -> dict | None:
+    """Bindings under which f instantiates schema, or None, by a recursive
+    walk over both trees: the referee for kwl.proof.match_axiom.  An
+    uppercase letter is a metavariable, ATOM admits only a proposition, and
+    an uppercase agent is bound to the agent met at its first occurrence."""
+    b: dict = {}
+
+    def bind(meta: str, value) -> bool:
+        return b.setdefault(meta, value) == value
+
+    def match(schema: Formula, f: Formula) -> bool:
+        if isinstance(schema, Prop) and schema.name.isupper():
+            if schema.name == "ATOM" and not isinstance(f, Prop):
+                return False
+            return bind(schema.name, f)
+        if type(schema) is not type(f):
+            return False
+        if isinstance(schema, Prop):
+            return schema.name == f.name
+        if isinstance(schema, Modal):
+            agent = schema.agent
+            if not (bind(agent, f.agent) if agent.isupper() else agent == f.agent):
+                return False
+        return all(match(x, y) for x, y in zip(schema.children(), f.children()))
+
+    return b if match(schema, f) else None
+
+
 def pigeonhole(holes: int) -> Formula:
     """The pigeonhole tautology for holes + 1 pigeons: if every pigeon sits in
     some hole, two pigeons share one.  Hard for DPLL (Haken 1985)."""

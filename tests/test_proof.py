@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kwl.proof
-from helpers import ROOT, abstraction_letters, pigeonhole, random_formula, reference_taut
+from helpers import (
+    ROOT,
+    abstraction_letters,
+    pigeonhole,
+    random_formula,
+    reference_match,
+    reference_taut,
+)
 from kwl.formula import (
     BOT,
     TOP,
@@ -106,19 +113,86 @@ def test_instantiate_match_round_trip():
     rng = random.Random(61)
     for name, schema in AXIOMS.items():
         for _ in range(25):
-            bindings = {
-                "PHI": random_formula(rng, 2),
-                "PSI": random_formula(rng, 2),
-                "CHI": random_formula(rng, 2),
-                "CHI1": random_formula(rng, 2),
-                "CHI2": random_formula(rng, 2),
-                "ATOM": Prop(rng.choice("pqr")),
-                "I": rng.choice("ij"),
-            }
+            bindings = _random_bindings(rng)
             inst = instantiate(schema, bindings)
             back = match_axiom(name, inst)
             assert back is not None
             assert instantiate(schema, back) == inst
+
+
+def _positions(f, path=()):
+    """(path, node) for each position of f's tree, in preorder; a path lists
+    the child indices that lead from f to the node."""
+    yield path, f
+    for k, g in enumerate(f.children()):
+        yield from _positions(g, path + (k,))
+
+
+def _replace(f, path, new):
+    """f with the node at path replaced by new."""
+    if not path:
+        return new
+    kids = list(f.children())
+    kids[path[0]] = _replace(kids[path[0]], path[1:], new)
+    rest = iter(kids)
+    return f.map(lambda _: next(rest))
+
+
+def _random_bindings(rng):
+    return {
+        "PHI": random_formula(rng, 2),
+        "PSI": random_formula(rng, 2),
+        "CHI": random_formula(rng, 2),
+        "CHI1": random_formula(rng, 2),
+        "CHI2": random_formula(rng, 2),
+        "ATOM": Prop(rng.choice("pqr")),
+        "I": rng.choice("ij"),
+    }
+
+
+def _near_misses(rng, schema, bindings):
+    """Formulas one edit away from schema's instance under bindings: one
+    subformula swapped, one agent renamed in one place, ATOM bound to a
+    non-atom, one occurrence of a repeated metavariable given another formula."""
+    inst = instantiate(schema, bindings)
+    places = list(_positions(inst))
+    path, _ = rng.choice(places)
+    yield _replace(inst, path, random_formula(rng, 2))
+    modals = [(path, g) for path, g in places if isinstance(g, Kw)]
+    if modals:
+        path, g = rng.choice(modals)
+        yield _replace(inst, path, Kw(g.agent + "k", g.sub))
+    metas = [(path, g) for path, g in _positions(schema) if isinstance(g, Prop)]
+    if any(g.name == "ATOM" for _, g in metas):
+        yield instantiate(schema, {**bindings, "ATOM": Not(bindings["ATOM"])})
+    repeated = [(path, g) for path, g in metas if sum(h is g for _, h in metas) > 1]
+    if repeated:
+        path, g = rng.choice(repeated)
+        other = Not(bindings[g.name])
+        yield instantiate(_replace(schema, path, Prop("OTHER")), {**bindings, "OTHER": other})
+
+
+def test_match_axiom_agrees_with_the_recursive_reference():
+    rng = random.Random(29)
+    own = {}  # schema name -> its instances and their near misses
+    for name, schema in AXIOMS.items():
+        own[name] = []
+        for _ in range(12):
+            bindings = _random_bindings(rng)
+            own[name] += [instantiate(schema, bindings), *_near_misses(rng, schema, bindings)]
+    derivations = [load_derivation(path) for path in sorted((ROOT / "proofs").glob("*.prf"))]
+    derivations += [gen_prop19(k) for k in range(1, 6)]
+    steps = [s.formula for d in derivations for s in d.steps
+             if s.justification.split()[0] == "axiom"]
+    assert len(steps) > 100
+    pool = [f for fs in own.values() for f in fs] + steps
+    for name, schema in AXIOMS.items():
+        for f in pool:
+            want = reference_match(schema, f)
+            got = match_axiom(name, f)
+            assert got == want and (want is None or list(got) == list(want)), (name, render(f))
+        # both answers occur among the schema's own instances and near misses
+        assert {reference_match(schema, f) is None for f in own[name]} == {False, True}
 
 
 def test_instantiate_fills_each_shared_node_once(nodes_requested):
@@ -568,10 +642,37 @@ def test_header_only_derivation_has_no_steps():
 
 def test_schema_letter_matches_only_itself():
     # no schema in AXIOMS holds a letter that is not a metavariable, but
-    # _match would be unsound if one matched any letter
-    schema = Implies(Prop("p"), Prop("PHI"))
-    assert kwl.proof._match(schema, parse("p -> q"), {})
-    assert not kwl.proof._match(schema, parse("r -> q"), {})
+    # the matcher would be unsound if one matched any letter
+    program = kwl.proof._flatten(Implies(Prop("p"), Prop("PHI")))
+    assert kwl.proof._run(program, parse("p -> q")) == {"PHI": Prop("q")}
+    assert kwl.proof._run(program, parse("r -> q")) is None
+
+
+def test_schema_agent_matches_only_itself():
+    # nor a modality of an agent that is not a metavariable
+    program = kwl.proof._flatten(Kw("i", Prop("PHI")))
+    assert kwl.proof._run(program, parse("Kw[i]p")) == {"PHI": Prop("p")}
+    assert kwl.proof._run(program, parse("Kw[j]p")) is None
+
+
+def _deep(leaf):
+    """A chain 5,000 nodes deep over leaf, built with the constructors."""
+    for k in range(5000):
+        leaf = Kw("i", leaf) if k % 3 == 0 else And(leaf, Prop("q")) if k % 3 == 1 else Not(leaf)
+    return leaf
+
+
+def test_match_axiom_binds_deep_chains():
+    phi, psi, chi = (_deep(Prop(x)) for x in "pqr")
+    kw = lambda g: Kw("j", g)
+    kwcon = Implies(And(kw(Implies(chi, phi)), kw(Implies(Not(chi), phi))), kw(phi))
+    assert match_axiom("KwCon", kwcon) == {"I": "j", "CHI": chi, "PHI": phi}
+    kwdis = Implies(kw(phi), Or(kw(Implies(phi, psi)), kw(Implies(Not(phi), chi))))
+    assert match_axiom("KwDis", kwdis) == {"I": "j", "PHI": phi, "PSI": psi, "CHI": chi}
+    # a repeated metavariable whose occurrences differ only at the bottom
+    other = _deep(Prop("s"))
+    assert match_axiom("KwCon", _replace(kwcon, (1,), kw(other))) is None
+    assert match_axiom("KwDis", _replace(kwdis, (1, 1, 0, 0, 0), other)) is None
 
 
 def test_step_index_must_be_its_position():
