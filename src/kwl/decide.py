@@ -95,15 +95,12 @@ class Validity:
 # The kinds of normal-form nodes, in complementary pairs: the complement of
 # a code is code ^ 1, and its kind is the kind ^ 1.
 _PROP, _NEG, _TOP, _BOT, _AND, _OR, _BOX, _DIA = range(8)
-# the nodes whose normal form has their own shape, given such children
-_SHAPES = (Top, Bot, And, Or, K)
 
 
 class _Tableau:
     """One call's search, on one branch that it changes in place.  work is
-    counted against the budget, preprocessing included: one tick per new
-    world, label entry and request of a normal form that no request has
-    reached before (nnf, _ask).
+    counted against the budget, preprocessing included: one tick per nnf
+    memo miss, new world and label entry.
 
     The normal form is made of codes, ints that live for the call.  Code c
     is the node (kind[c], x[c], y[c]): a letter's name and None, an agent
@@ -141,8 +138,6 @@ class _Tableau:
         self.nnf_memo: dict = {}
         self.kind, self.x, self.y = [], [], []
         self.codes: dict = {}
-        self.asked: set = set()  # the codes whose complement has been requested
-        self.shaped: set = set()  # input nodes, met under negation, already in normal form
         self.labels: dict[int, dict] = {}
         self.succ: dict[int, dict] = {}
         self.parent: dict[tuple, tuple] = {}
@@ -189,11 +184,7 @@ class _Tableau:
         for the call, so a subformula that Kw, <-> or a reduction axiom
         copies is translated once per polarity.  A memo miss ticks the
         budget before it recurses, so a blow-up stops after budget misses.
-
-        f under negation, for f in normal-form shape (a letter, top, bot, or
-        &, | or K over such nodes or a negated letter), is the request that
-        _ask makes for the complement of f's code, and so is a letter under
-        either polarity for its complement's; asked records it.
+        A code's complement is made with it, so it costs no tick.
         """
         while type(f) is Not:  # a ~ flips neg: no stack frame, memo entry or tick
             f, neg = f.sub, not neg
@@ -228,32 +219,7 @@ class _Tableau:
         else:
             raise TypeError(f"not a formula: {f!r}")
         self.nnf_memo[key] = out
-        # a child under negation was met here under negation too, so shaped knows it
-        if t is Prop or neg and t in _SHAPES and all(map(self._shaped, f.children())):
-            self.shaped.add(f)
-            self.asked.add(out ^ 1)
         return out
-
-    def _shaped(self, g) -> bool:
-        return g in self.shaped or (type(g) is Not and type(g.sub) is Prop)
-
-    def _ask(self, *codes):
-        """Request the complement of each code in turn, ticking as nnf would
-        on the formula the code stands for under negation: once for each
-        node of it, in preorder, whose complement no request has reached
-        (asked), and for none below such a node.  A ~p stands for p under no
-        negation.  A loop, so no stack frame per level."""
-        asked, stack = self.asked, list(reversed(codes))
-        while stack:
-            c = stack.pop()
-            if c not in asked:
-                self._tick()
-                asked.add(c)
-                kind = self.kind[c]
-                if kind >= _AND:  # a connective or a modality
-                    stack.append(self.y[c])
-                    if kind < _BOX:
-                        stack.append(self.x[c])
 
     def _blocker(self, w) -> int:
         """The first world with w's formulas over transitive and euclidean frames, else w."""
@@ -397,17 +363,12 @@ class _Tableau:
         one is on the label (a sibling's box can bring it early).  Otherwise
         a disjunct on the label drops the split, and one refuted disjunct
         forces the other (unit propagation) through det.  A disjunct's
-        complement is its code ^ 1.  Both are requested (_ask) at the
-        disjunction's first visit, where they tick; requesting them when the
-        split is queued would tick for splits never visited, and move budget
-        edges.
+        complement is its code ^ 1, made with it, so finding it ticks nothing.
         """
-        pending, asked = [], self.asked
+        pending = []
         for w, f in self.splits:
             labs = self.labels[w]
             left, right = self.x[f], self.y[f]
-            if left not in asked or right not in asked:
-                self._ask(left, right)
             left_out, right_out = labs.get(left ^ 1), labs.get(right ^ 1)
             if left_out is not None and right_out is not None:
                 return labs[f] | left_out | right_out

@@ -157,13 +157,28 @@ _SIX_ANNOUNCEMENTS = "[Kw[i]p5][Kw[i]p4][Kw[i]p3][Kw[i]p2][Kw[i]p1][Kw[i]p0]Kw[i
 
 def test_budget_bounds_preprocessing(nodes_built):
     # as trees, the reduction of the six announcements has 59,374 nodes and
-    # the NNF of Kw[i]^18 p 1,179,645; each tick of the budget builds a few nodes
-    for f in (parse(_SIX_ANNOUNCEMENTS), _kw_chain(18)):
+    # the NNF of Kw[i]^18 p 1,179,645; each tick of the budget builds a few
+    # nodes.  Kw[i]^18 p is decided within 100 ticks, the rest run out
+    chain = _kw_chain(18)
+    for f in (parse(_SIX_ANNOUNCEMENTS), chain):
         for budget in (1, 10, 100):
             nodes_built.clear()
-            with pytest.raises(BudgetExceeded):
-                sat(f, FrameClass.K, budget=budget)
+            if f is chain and budget == 100:
+                assert sat(f, FrameClass.K, budget=budget).satisfiable
+            else:
+                with pytest.raises(BudgetExceeded):
+                    sat(f, FrameClass.K, budget=budget)
             assert len(nodes_built) <= 2 * budget + 20, (render(f), budget)
+
+
+@pytest.mark.parametrize("fc, least", [(FrameClass.K, 40), (FrameClass.S5, 75)])
+def test_a_complement_lookup_ticks_nothing(fc, least):
+    # the NNF misses, worlds and label entries of sat(Kw[i]^18 p): each
+    # disjunct's complement is found at code ^ 1 and adds no tick
+    f = _kw_chain(18)
+    assert sat(f, fc, budget=least).satisfiable
+    with pytest.raises(BudgetExceeded):
+        sat(f, fc, budget=least - 1)
 
 
 def test_budget_bounds_sat_on_a_reduced_dag(nodes_requested, monkeypatch):
@@ -413,9 +428,9 @@ def test_a_one_branch_search_keeps_memory_linear_in_its_depth():
 
 
 def test_a_complement_in_normal_form_shape_ticks_as_the_input_node():
-    # ~(p & q) asks nnf for p & q under negation, where p & q is already in
-    # normal form: the complement that the split asks for later is that
-    # request, and does not tick again
+    # ~(p & q) ticks nnf once per node of p & q under negation; the
+    # complements that the split looks up later were made with those codes
+    # and tick nothing
     f = parse("((p & q) | r) & ~(p & q) & ~r")
     assert not sat(f, FrameClass.K, budget=17).satisfiable
     with pytest.raises(BudgetExceeded):
