@@ -22,9 +22,11 @@ a-children (4) and b to w's a-parent (B).  Over euclidean frames u R w gives
 R(u) within R(w), a cluster that its members see, so a world with an
 a-parent, or any world over reflexive frames, lies in its own a-cluster (5):
 b stays at w, and K[a]b goes to w's a-children, a-parent and a-siblings.
-Only extract closes the relation.  Over transitive and euclidean frames a
-world with the formulas of an earlier one is blocked: its diamonds do not
-fire, and in the model it also gets its blocker's successors.
+Only extract closes the relation: it builds one successor row per world
+and agent, an int whose bit v is set for the edge to world v, and closes
+the rows in place.  Over transitive and euclidean frames a world with the
+formulas of an earlier one is blocked: its diamonds do not fire, and in
+the model its row also gets its blocker's.
 
 The search backjumps (dependency-directed backtracking).  Every label entry
 carries a mask, an int whose bit n is set when the entry depends on the
@@ -100,7 +102,9 @@ _PROP, _NEG, _TOP, _BOT, _AND, _OR, _BOX, _DIA = range(8)
 class _Tableau:
     """One call's search, on one branch that it changes in place.  work is
     counted against the budget, preprocessing included: one tick per nnf
-    memo miss, new world and label entry.
+    memo miss, new world and label entry.  extract's closure of the relation
+    is not counted: its time is polynomial in the number of worlds, and each
+    world has ticked.
 
     The normal form is made of codes, ints that live for the call.  Code c
     is the node (kind[c], x[c], y[c]): a letter's name and None, an agent
@@ -418,15 +422,15 @@ class _Tableau:
 
     def extract(self, original: Formula, props) -> KripkeModel:
         n = len(self.labels)  # world w is bit w of the model's masks
-        succ, pred = {}, {}
-        for agent in self.agents:
-            # a blocked world keeps its own successors and borrows its blocker's
-            pairs = {(w, v) for w in self.labels for x in {w, self._blocker(w)}
-                     for v in self.succ[x][agent]}
-            succ[agent], pred[agent] = out, back = [0] * n, [0] * n
-            for x, y in self._close(self.labels, pairs):
-                out[x] |= 1 << y
-                back[y] |= 1 << x
+        blockers = [self._blocker(w) for w in self.labels]
+        # a blocked world keeps its own successors and borrows its blocker's
+        succ = {agent: self._close([sum(1 << v for v in {*self.succ[w][agent], *self.succ[b][agent]})
+                                    for w, b in enumerate(blockers)]) for agent in self.agents}
+        pred = {agent: [0] * n for agent in self.agents}
+        for agent, rows in succ.items():
+            for s, row in enumerate(rows):
+                for t in _bits(row):
+                    pred[agent][t] |= 1 << s
         val = {}
         for p in sorted(props):
             code = self.codes.get((_PROP, p, None))  # None for a letter that nnf dropped
@@ -440,23 +444,31 @@ class _Tableau:
             raise RuntimeError("extracted model leaves the frame class")
         return model
 
-    def _close(self, worlds, pairs) -> set:
-        """Least closure of pairs under the Horn frame conditions; serial: dead ends loop."""
-        closed = set(pairs)
+    def _close(self, rows: list[int]) -> list[int]:
+        """Close the successor rows (bit t of rows[s] for the edge s -> t) in
+        place to the least relation that holds them and meets the Horn frame
+        conditions, and return them.  Reflexive sets each world's own bit;
+        then, for each edge s -> t, symmetric gives t the bit of s,
+        transitive ORs t's row into s's and euclidean s's row into t's, in
+        passes until one changes nothing.  Serial: a dead end then loops."""
         if self.reflexive:
-            closed |= {(w, w) for w in worlds}
-        size = -1
-        while size != len(closed):
-            size = len(closed)
-            if self.symmetric:
-                closed |= {(t, s) for (s, t) in closed}
-            if self.transitive:
-                closed |= {(s, u) for (s, t) in closed for (t2, u) in closed if t == t2}
-            if self.euclidean:
-                closed |= {(t, u) for (s, t) in closed for (s2, u) in closed if s == s2}
+            rows[:] = [row | 1 << w for w, row in enumerate(rows)]
+        before = None
+        while before != (before := rows[:]):
+            for s, row in enumerate(rows):
+                for t in _bits(row):
+                    rows[s] |= rows[t] if self.transitive else 0
+                    rows[t] |= (1 << s if self.symmetric else 0) | (rows[s] if self.euclidean else 0)
         if self.serial:
-            closed |= {(w, w) for w in worlds if not any(s == w for (s, _) in closed)}
-        return closed
+            rows[:] = [row or 1 << w for w, row in enumerate(rows)]
+        return rows
+
+
+def _bits(mask: int):
+    """The positions of mask's set bits, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 # ---------------------------------------------------------------------------

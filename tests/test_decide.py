@@ -8,12 +8,14 @@ import subprocess
 import sys
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import (
     ROOT,
     Dia,
+    close_relation,
     decode_nnf,
     enumerate_class_models,
     enumerate_formulas,
@@ -34,13 +36,21 @@ from kwl.formula import (
     Language,
     Not,
     Prop,
+    conj,
     fold,
     parse,
     render,
     subformulas,
 )
 from kwl.proof import gen_prop19
-from kwl.semantics import FrameClass, frame_properties, mc, model_valid, satisfies_class
+from kwl.semantics import (
+    FrameClass,
+    FrameProperty,
+    frame_properties,
+    mc,
+    model_valid,
+    satisfies_class,
+)
 from kwl.translate import reduce, step
 
 # formula, class, expected validity
@@ -425,6 +435,43 @@ def test_a_one_branch_search_keeps_memory_linear_in_its_depth():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < 2.5 * peaks[0], peaks
+
+
+def test_close_agrees_with_the_pair_set_closure():
+    # _close closes successor rows in place; close_relation closes (s, t)
+    # pairs, and leaves serial to the caller: a dead end gets a self-loop
+    rng = random.Random(31)
+    classes = [fc.requirements for fc in FrameClass]
+    for k in range(3000):
+        props = (classes[k % len(classes)] if k % 2 else
+                 frozenset(p for p in FrameProperty if rng.random() < 0.5))
+        n = rng.randint(1, 7)
+        pairs = {(s, t) for s in range(n) for t in range(n) if rng.random() < 0.25}
+        expected = [0] * n
+        for s, t in close_relation(pairs, range(n), props):
+            expected[s] |= 1 << t
+        if FrameProperty.SERIAL in props:
+            expected = [row or 1 << w for w, row in enumerate(expected)]
+        rows = [sum(1 << t for s2, t in pairs if s2 == s) for s in range(n)]
+        tab = _Tableau(SimpleNamespace(requirements=props), ["i"], 0)
+        assert tab._close(rows) == expected, (sorted(p.value for p in props), sorted(pairs))
+
+
+@pytest.mark.parametrize("fc", [FrameClass.S5, FrameClass.K45, FrameClass.K5])
+def test_a_wide_conjunction_of_diamonds_keeps_memory_linear_in_its_width(fc):
+    # ~K[i]p0 & ... & ~K[i]p(n-1) gives the root n children in one euclidean
+    # cluster of about n^2 edges, which extract keeps as n successor rows
+    def wide(n):
+        return conj([Not(K("i", Prop(f"p{k}"))) for k in range(n)])
+
+    sat(wide(2), fc)  # lazy imports and caches outside the measurement
+    peaks = []
+    for f in (wide(40), wide(80)):
+        tracemalloc.start()
+        assert sat(f, fc).satisfiable
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 3 * peaks[0], peaks
 
 
 def test_a_complement_in_normal_form_shape_ticks_as_the_input_node():
