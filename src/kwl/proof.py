@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .formula import (
     TOP,
@@ -185,12 +185,14 @@ def instantiate(schema: Formula, bindings: dict) -> Formula:
 # ---------------------------------------------------------------------------
 # boolean reasoning under modal abstraction
 #
-# A taut or pc step holds when its formula is a tautology once the
+# A taut step holds when its formula is a tautology, and a pc step when its
+# formula is true in every row where its cited lines are, once the
 # propositions and the maximal Kw, K and announcement subformulas are read as
 # letters.  Up to _TABLE_LETTERS letters the step is decided by its truth
-# table; past that, the negation is put in a definitional clause form
-# (Tseitin 1968, one-sided definitions) and searched by DPLL with unit
-# propagation (Davis, Logemann & Loveland 1962).  Only the search can give up.
+# table; past that, the cited lines and the formula's negation are put in a
+# definitional clause form (Tseitin 1968, one-sided definitions) and searched
+# by DPLL with unit propagation (Davis, Logemann & Loveland 1962).  Only the
+# search can give up.
 
 # up to this many letters a formula is decided by its truth table: one bit per
 # row of a 2^_TABLE_LETTERS-bit column, and the k-th letter met reads the k-th
@@ -207,18 +209,21 @@ _COLUMNS = tuple((((1 << (1 << k)) - 1) << (1 << k)) * (_FULL // ((1 << (2 << k)
 _WORK_CAP = 1 << 23
 
 
-def _clauses(f: Formula) -> list:
-    """Clauses, lists of nonzero ints, satisfiable exactly when ~f is.
+def _clauses(f: Formula, premises: Sequence[Formula] = ()) -> list:
+    """Clauses, lists of nonzero ints, satisfiable exactly when the premises
+    and ~f can all hold at once.
 
     A goal is a clause under construction: literals so far, and (formula,
-    polarity) items still to flatten into it.  Disjunctive shapes flatten in
-    place.  A conjunctive shape that is the whole goal splits into one goal per
-    conjunct; inside a larger clause it becomes a fresh variable x, one per
-    node and polarity, with the clauses ~x | conjunct."""
+    polarity) items still to flatten into it.  Each premise is a goal, and ~f
+    the goal taken first.  Disjunctive shapes flatten in place.  A conjunctive
+    shape that is the whole goal splits into one goal per conjunct; inside a
+    larger clause it becomes a fresh variable x, one per node and polarity,
+    with the clauses ~x | conjunct."""
     letters: dict = {}
     fresh: dict = {}  # (id of a node, polarity) -> its variable
     clauses = []
-    goals = [([], [(f, False)])]
+    goals = [([], [(g, True)]) for g in premises]
+    goals.append(([], [(f, False)]))
     while goals:
         clause, items = goals.pop()
         while items:
@@ -310,13 +315,14 @@ def _satisfiable(clauses: list) -> bool:
         trail.append(lit)
 
 
-def _column(f: Formula) -> Optional[int]:
-    """f's truth table as one column of _COLUMNS' rows, or None once f has
-    more than _TABLE_LETTERS letters.  A post-order walk with a list, not the
-    interpreter's stack; each distinct node is evaluated once."""
+def _columns(roots) -> Optional[dict]:
+    """The truth table of every node under roots, each one column of
+    _COLUMNS' rows, or None once they have more than _TABLE_LETTERS letters
+    between them.  A post-order walk with a list, not the interpreter's
+    stack; each distinct node is evaluated once."""
     col: dict = {}  # node -> its column
     letters = 0
-    stack = [f]
+    stack = list(roots)
     while stack:
         g = stack.pop()
         if g in col:
@@ -350,20 +356,25 @@ def _column(f: Formula) -> Optional[int]:
         else:
             col[g] = _COLUMNS[letters]
             letters += 1
-    return col[f]
+    return col
 
 
-def is_bool_taut(f: Formula) -> bool:
-    """Tautology after abstracting maximal modal subformulas.
+def is_bool_taut(f: Formula, premises: Sequence[Formula] = ()) -> bool:
+    """Whether f is true in every row of the truth table where all the
+    premises are, after abstracting maximal modal subformulas; with no
+    premises, whether f is a tautology.
 
     The letters are the propositions and the maximal Kw, K and announcement
     subformulas, compared by value.  Up to _TABLE_LETTERS letters the truth
     table answers; past that DPLL does, and raises ValueError when the search
-    passes its work cap: the formula is then neither confirmed nor refuted."""
-    table = _column(f)
-    if table is not None:
-        return table == _FULL
-    return not _satisfiable(_clauses(f))
+    passes its work cap: f is then neither confirmed nor refuted."""
+    col = _columns((f, *premises))
+    if col is None:
+        return not _satisfiable(_clauses(f, premises))
+    rows = _FULL
+    for g in premises:
+        rows &= col[g]
+    return col[f] & rows == rows
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +496,8 @@ def format_derivation(d: Derivation) -> str:
 # Each rule is one function (system, d, step, *words) -> Formula.  It reads
 # its arguments in the order _SHAPES lists them, runs its own check and
 # returns the one formula that the step may state: the step's own for axiom,
-# taut, pc and mp, the licensed conclusion for the other rules.
+# taut, pc and mp, the licensed conclusion for the other rules.  taut and pc
+# share one function: a taut step is a pc step that cites no lines.
 
 
 def _line(d: Derivation, step: Step, word: str) -> Formula:
@@ -511,15 +523,6 @@ def _formula(step: Step, words) -> Formula:
         raise DerivationError(step.index, f"bad formula argument: {e}") from None
 
 
-def _tautology(step: Step, f: Formula, what: str):
-    try:
-        ok = is_bool_taut(f)
-    except ValueError as e:
-        raise StepUndecided(step.index, str(e)) from None
-    if not ok:
-        raise DerivationError(step.index, what)
-
-
 def _equivalence(step: Step, g: Formula):
     if not isinstance(g, Iff):
         raise DerivationError(step.index, "the cited line is not an equivalence")
@@ -539,15 +542,15 @@ def _axiom(system, d, step, name):
     return step.formula
 
 
-def _taut(system, d, step):
-    _tautology(step, step.formula, "not a boolean tautology")
-    return step.formula
-
-
-def _pc(system, d, step, *lines):
+def _entailed(system, d, step, *lines):
     cited = [_line(d, step, word) for word in lines]
-    _tautology(step, Implies(conj(cited), step.formula),
-               "not a boolean consequence of the cited lines")
+    try:
+        ok = is_bool_taut(step.formula, cited)
+    except ValueError as e:
+        raise StepUndecided(step.index, str(e)) from None
+    if not ok:
+        raise DerivationError(step.index, "not a boolean consequence of the cited lines"
+                              if lines else "not a boolean tautology")
     return step.formula
 
 
@@ -599,8 +602,8 @@ def _wm(system, d, step, line):
 # the other arguments leave.
 _SHAPES = {
     "axiom": (("name",), _axiom),
-    "taut": ((), _taut),
-    "pc": (("lines",), _pc),
+    "taut": ((), _entailed),
+    "pc": (("lines",), _entailed),
     "mp": (("line", "line"), _mp),
     "neckw": (("line", "agent"), _neckw),
     "rekw": (("line", "agent"), _rekw),

@@ -269,14 +269,16 @@ def test_parity_checks_via_cli(capsys, tmp_path):
 
 
 def test_undecided_step_is_exit_3(capsys, tmp_path):
-    # a pigeonhole step is a tautology; past the work cap it is left unchecked
-    for holes, want in ((4, 0), (7, 3)):
-        path = tmp_path / f"php{holes}.prf"
-        path.write_text(f"system PLKw\n\n1. {render(pigeonhole(holes))} ; taut\n")
-        code, out, err = run(capsys, "check", str(path))
-        assert code == want, holes
-    assert out == ""
-    assert err.startswith("step 1: tautology check gave up after scanning ")
+    # a pigeonhole step is a tautology; past the work cap it is left unchecked,
+    # as a taut step and as a pc step that cites a line
+    for steps, index in (("1. {} ; taut\n", 1), ("1. p | ~p ; taut\n2. {} ; pc 1\n", 2)):
+        for holes, want in ((4, 0), (7, 3)):
+            path = tmp_path / f"php{holes}.prf"
+            path.write_text("system PLKw\n\n" + steps.format(render(pigeonhole(holes))))
+            code, out, err = run(capsys, "check", str(path))
+            assert code == want, (holes, steps)
+        assert out == ""
+        assert err.startswith(f"step {index}: tautology check gave up after scanning ")
 
 
 def test_frame(capsys):

@@ -30,6 +30,7 @@ from kwl.formula import (
     Not,
     Or,
     Prop,
+    conj,
     disj,
     fold,
     parse,
@@ -308,20 +309,78 @@ def test_is_bool_taut_agrees_with_reference(monkeypatch):
         assert undecided == gives_up, n
 
 
-def test_is_bool_taut_agrees_on_derivations(monkeypatch):
-    # every taut/pc input met while checking the corpus and gen_prop19(1..5)
+def _entailment_inputs(derivations):
+    """(f, premises) of every taut and pc step of the derivations, in order."""
     seen = []
-    monkeypatch.setattr(kwl.proof, "is_bool_taut", lambda f: seen.append(f) or True)
-    for path in sorted((ROOT / "proofs").glob("*.prf")):
-        check_derivation(load_derivation(path))
-    corpus = len(seen)
-    for k in range(1, 6):
-        check_derivation(gen_prop19(k))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kwl.proof, "is_bool_taut",
+                  lambda f, premises=(): seen.append((f, tuple(premises))) or True)
+        for d in derivations:
+            check_derivation(d)
+    return seen
+
+
+def _corpus():
+    return [load_derivation(path) for path in sorted((ROOT / "proofs").glob("*.prf"))]
+
+
+def test_is_bool_taut_agrees_on_derivations():
+    # every taut/pc input met while checking the corpus and gen_prop19(1..5)
+    corpus = _entailment_inputs(_corpus())
+    generated = _entailment_inputs([gen_prop19(k) for k in range(1, 6)])
     # gen_prop19(k) has 7k - 4 taut and pc steps
-    assert (corpus, len(seen) - corpus) == (232, sum(7 * k - 4 for k in range(1, 6)))
-    for f in seen:
-        assert is_bool_taut(f) == reference_taut(f), render(f)
-        assert is_bool_taut(f)
+    assert (len(corpus), len(generated)) == (232, sum(7 * k - 4 for k in range(1, 6)))
+    for f, premises in corpus + generated:
+        assert is_bool_taut(f, premises) == reference_taut(Implies(conj(premises), f)), render(f)
+        assert is_bool_taut(f, premises)
+
+
+def _answer(f, premises=()):
+    try:
+        return is_bool_taut(f, premises)
+    except ValueError as e:
+        return str(e)
+
+
+def test_premises_ask_what_the_implication_asks(monkeypatch):
+    # f under premises is the question Implies(conj(premises), f), down to the
+    # clauses and their numbering, so DPLL gives up on the same steps.  A lower
+    # work cap makes giving up cheap; both forms must still give up alike
+    steps = [(f, premises) for f, premises in _entailment_inputs(
+        _corpus() + [gen_prop19(k) for k in range(1, 11)]) if premises]
+    assert len(steps) == 448
+    monkeypatch.setattr(kwl.proof, "_WORK_CAP", 1 << 16)
+    rng = random.Random(49)
+    answers, searched = set(), 0
+    for _ in range(3000):
+        n = rng.choice((1, 2, 4, 6, 13))
+        premises = tuple(_with_letters(rng, rng.randint(1, n))
+                         for _ in range(rng.randint(1, 4)))
+        goal = _with_letters(rng, rng.randint(1, n))
+        if rng.random() < 0.3:  # an entailed goal, now and then
+            goal = rng.choice((Or(goal, rng.choice(premises)), conj(premises)))
+        steps.append((goal, premises))
+    for f, premises in steps:
+        implication = Implies(conj(premises), f)
+        assert kwl.proof._clauses(f, premises) == kwl.proof._clauses(implication), render(f)
+        answer = _answer(f, premises)
+        assert answer == _answer(implication), render(implication)
+        answers.add(answer)
+        searched += len(abstraction_letters(implication)) > 12
+    # both the truth table and DPLL answer many of them
+    assert {True, False} <= answers
+    assert 500 < searched < len(steps) - 500
+
+
+def test_entailment_checks_build_no_formula(nodes_built):
+    # a taut or pc step is checked on the formulas of the derivation itself
+    derivations = [gen_prop19(k) for k in range(1, 5)]
+    for d in derivations:
+        check_derivation(d)
+    nodes_built.clear()
+    for d in derivations:
+        check_derivation(d)
+    assert nodes_built == []
 
 
 def test_is_bool_taut_many_letters():
