@@ -23,10 +23,12 @@ R(u) within R(w), a cluster that its members see, so a world with an
 a-parent, or any world over reflexive frames, lies in its own a-cluster (5):
 b stays at w, and K[a]b goes to w's a-children, a-parent and a-siblings.
 Only extract closes the relation: it builds one successor row per world
-and agent, an int whose bit v is set for the edge to world v, and closes
-the rows in place.  Over transitive and euclidean frames a world with the
-formulas of an earlier one is blocked: its diamonds do not fire, and in
-the model its row also gets its blocker's.
+and agent, an int whose bit v is set for the edge to world v, closes the
+rows in place, and hands them with the valuation masks to
+KripkeModel._from_rows, which derives the rest of the model.  Over
+transitive and euclidean frames a world with the formulas of an earlier one
+is blocked: its diamonds do not fire, and in the model its row also gets
+its blocker's.
 
 The search backjumps (dependency-directed backtracking).  Every label entry
 carries a mask, an int whose bit n is set when the entry depends on the
@@ -68,6 +70,7 @@ from .semantics import (
     FrameClass,
     FrameProperty,
     KripkeModel,
+    _bits,
     mc,
     satisfies_class,
 )
@@ -421,23 +424,17 @@ class _Tableau:
                 return None
 
     def extract(self, original: Formula, props) -> KripkeModel:
-        n = len(self.labels)  # world w is bit w of the model's masks
         blockers = [self._blocker(w) for w in self.labels]
-        # a blocked world keeps its own successors and borrows its blocker's
+        # world w is bit w of the masks; a blocked world keeps its own
+        # successors and borrows its blocker's
         succ = {agent: self._close([sum(1 << v for v in {*self.succ[w][agent], *self.succ[b][agent]})
                                     for w, b in enumerate(blockers)]) for agent in self.agents}
-        pred = {agent: [0] * n for agent in self.agents}
-        for agent, rows in succ.items():
-            for s, row in enumerate(rows):
-                for t in _bits(row):
-                    pred[agent][t] |= 1 << s
         val = {}
         for p in sorted(props):
             code = self.codes.get((_PROP, p, None))  # None for a letter that nnf dropped
             val[p] = sum(1 << w for w, labs in self.labels.items() if code in labs)
-        worlds = tuple(f"w{w}" for w in self.labels)
-        model = KripkeModel.__new__(KripkeModel)._store(
-            worlds, tuple(self.agents), "w0", dict(zip(worlds, range(n))), succ, pred, val)
+        model = KripkeModel._from_rows(tuple(f"w{w}" for w in self.labels), tuple(self.agents),
+                                       "w0", succ, val)
         if not mc(model, "w0", original):
             raise RuntimeError(f"extracted model fails {original}")
         if not satisfies_class(model, self.frame_class):
@@ -462,13 +459,6 @@ class _Tableau:
         if self.serial:
             rows[:] = [row or 1 << w for w, row in enumerate(rows)]
         return rows
-
-
-def _bits(mask: int):
-    """The positions of mask's set bits, lowest first."""
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 # ---------------------------------------------------------------------------

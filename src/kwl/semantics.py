@@ -130,13 +130,27 @@ class KripkeModel:
             raise ModelError(f"point {point!r} is not a world")
         self._store(worlds, agents, point, index, succ, pred, masks)
 
+    @classmethod
+    def _from_rows(cls, worlds, agents, point, succ, val) -> "KripkeModel":
+        """The model with these successor rows (agent -> one mask per world,
+        bit t of row s for the edge s -> t) and valuation masks, unchecked:
+        the library builds it from masks that it made.  The predecessor rows
+        and the index of the worlds are derived here."""
+        pred = {}
+        for agent, rows in succ.items():
+            pred[agent] = back = [0] * len(worlds)
+            for s, row in enumerate(rows):
+                for t in _bits(row):
+                    back[t] |= 1 << s
+        index = {w: k for k, w in enumerate(worlds)}
+        return cls.__new__(cls)._store(worlds, agents, point, index, succ, pred, val)
+
     def _store(self, worlds, agents, point, index, succ, pred, val) -> "KripkeModel":
         """Set the model's fields, unchecked, and return it: the names, the
         index of the worlds (world -> bit position), one successor and one
         predecessor mask per world for every agent (succ, pred), and one
-        mask per proposition (val).  __init__ calls it when its checks have
-        passed; a model that the library builds from masks calls it on a
-        blank instance, KripkeModel.__new__(KripkeModel)."""
+        mask per proposition (val).  Its two callers are __init__, when its
+        checks have passed, and _from_rows, on a blank instance."""
         self.worlds, self.agents, self.point, self._index = worlds, agents, point, index
         self._space = _Space(len(worlds), succ, pred, val)
         return self
@@ -253,6 +267,13 @@ def _is_edges(value, pairs: bool) -> bool:
             and (not pairs or all(len(e) == 2 and _is_names(e) for e in value)))
 
 
+def _bits(mask: int):
+    """The positions of mask's set bits, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 # ---------------------------------------------------------------------------
 # model checking
 
@@ -275,10 +296,7 @@ class _Space:
     def __init__(self, n: int, succ: dict, pred: dict, val: dict, copies: int = 1):
         self.succ, self.pred, self.val = succ, pred, val
         self.full = (1 << n * copies) - 1
-        self.unit = 1
-        while copies > 1:  # doubling, so no big-int division
-            self.unit |= self.unit << n
-            n, copies = n << 1, copies >> 1
+        self.unit = self.full // ((1 << n) - 1)
 
     def image(self, rel: list[int], ws: int) -> int:
         """The positions that rel relates to some position of ws, copy by copy."""

@@ -1,9 +1,11 @@
 """The package's public surface, and the modules that each entry point loads."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +73,24 @@ def test_each_entry_loads_only_the_modules_it_runs():
                         (["decide", "Kw[i]p"], ["kwl.decide", "kwl.translate"])):
         run = f"import kwl.cli; assert kwl.cli.main({argv!r}) in (0, 1)"
         assert _loaded(run) == sorted(base + extra), argv
+
+
+def test_only_semantics_knows_the_model_store():
+    # a model's masks, world index and _Space are one format, semantics';
+    # another module hands it successor rows and masks through
+    # KripkeModel._from_rows.  (formula defines a __new__ of its own, so
+    # only KripkeModel.__new__ is barred.)
+    store = {"_store", "_space", "_index", "_Space", "KripkeModel.__new__"}
+    for path in Path(kwl.__file__).parent.glob("*.py"):
+        if path.name == "semantics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr, ast.unparse(node)}
+            elif isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            else:
+                continue
+            assert not names & store, (path.name, node.lineno)

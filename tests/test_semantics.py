@@ -406,7 +406,8 @@ def test_loading_and_evaluating_build_no_pair_sets(tmp_path):
 def test_loaded_masks_match_the_edges():
     """The loader's relation and valuation masks against masks built edge by
     edge, on documents with duplicate edges, self-loops, an agent without a
-    relation entry and empty valuations."""
+    relation entry and empty valuations; and the model that _from_rows
+    builds from those successor rows and masks against the loaded one."""
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(1, 7)
@@ -427,8 +428,10 @@ def test_loaded_masks_match_the_edges():
         m = KripkeModel.from_dict({"worlds": worlds, "agents": agents, "rel": rel, "val": val})
         assert KripkeModel.from_dict(m.to_dict()) == m
         index = {w: k for k, w in enumerate(worlds)}
+        rows = {}
         for agent in agents:
-            succ, pred = [0] * n, [0] * n
+            rows[agent] = succ = [0] * n
+            pred = [0] * n
             for s, t in rel.get(agent, []):
                 succ[index[s]] |= 1 << index[t]
                 pred[index[t]] |= 1 << index[s]
@@ -439,6 +442,11 @@ def test_loaded_masks_match_the_edges():
             for w in where:
                 masks[p] |= 1 << index[w]
         assert m._space.val == masks
+        built = KripkeModel._from_rows(tuple(worlds), tuple(agents), None, rows, masks)
+        assert built == m
+        assert built._space.pred == m._space.pred
+        assert built._index == m._index
+        assert built.to_dict() == m.to_dict()
 
 
 def test_decoders_on_a_sparse_100_world_model():
