@@ -457,92 +457,73 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _Parser:
-    """Recursive descent over the token list.
-
-    The binary connectives bind as _CONNECTIVES says, then come the unary
-    prefixes ~, Kw[i], K[i] and [f].  A parenthesis costs two stack frames.
-    """
-
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str):
-        tok = self.next()
-        if tok[0] != kind and tok[1] != kind:
-            raise ParseError(f"unexpected {tok[1]!r}" if tok[1] else "unexpected end of input",
-                             tok[2], (what,))
-        return tok
-
-    def formula(self, limit: int = 0) -> Formula:
-        """A formula whose connectives sit at level limit or tighter, by
-        precedence climbing: an operand, then each following connective of
-        such a level with its right operand."""
-        left = self.unary()
-        while (level := _LEVEL.get(self.peek()[1], -1)) >= limit:
-            self.next()
-            kind, _, right_assoc = _CONNECTIVES[level]
-            left = kind(left, self.formula(level + 1 - right_assoc))
-        return left
-
-    def agent_name(self) -> str:
-        tok = self.expect("word", "agent name")
-        name = tok[1]
-        if not _IDENT_RE.match(name):
-            raise ParseError(f"bad agent name {name!r}", tok[2], ("agent name",))
-        return name
-
-    def unary(self) -> Formula:
-        kind, text, offset = self.peek()
-        if text == "~":
-            self.next()
-            return Not(self.unary())
-        if text == "[":
-            self.next()
-            announced = self.formula()
-            self.expect("]", "]")
-            return Announce(announced, self.unary())
-        if text == "(":
-            self.next()
-            inner = self.formula()
-            self.expect(")", ")")
-            return inner
-        if kind == "word":
-            self.next()
-            if text == "Kw" or text == "K":
-                self.expect("[", "[")
-                agent = self.agent_name()
-                self.expect("]", "]")
-                sub = self.unary()
-                return Kw(agent, sub) if text == "Kw" else K(agent, sub)
-            if text == "top":
-                return TOP
-            if text == "bot":
-                return BOT
-            if not _IDENT_RE.match(text):
-                raise ParseError(f"bad proposition name {text!r}", offset)
-            return Prop(text)
-        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input",
-                         offset, ("~", "[", "(", "Kw", "K", "top", "bot", "proposition"))
+def _expect(tok: tuple, want: str, expected: tuple[str, ...]) -> tuple:
+    # tok, which must be of kind or text want
+    if want not in tok[:2]:
+        raise ParseError(f"unexpected {tok[1]!r}" if tok[1] else "unexpected end of input",
+                         tok[2], expected)
+    return tok
 
 
 def parse(text: str) -> Formula:
-    """Parse the ASCII syntax into a formula."""
-    parser = _Parser(_tokenize(text))
-    f = parser.formula()
-    tok = parser.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return f
+    """Parse the ASCII syntax into a formula.
+
+    One loop over the tokens, with a stack of what waits for an operand: an
+    entry (level, build, arg) takes the operand as build's last field, after
+    arg unless that is None.  The prefixes ~, Kw[i], K[i] and [f] sit at
+    _UNARY, and a binary connective at its level with its left operand.  An
+    open bracket sits at -1 with its closer, and so does the bottom entry,
+    with none: it stands for the whole input.  Once an operand is read, the
+    entries that bind at least as tightly as the token after it are built
+    into it (Dijkstra's shunting-yard), so _CONNECTIVES decides precedence
+    and associativity, and any depth is read whole."""
+    toks = iter(_tokenize(text))
+    stack: list = [(-1, "", None)]
+    while True:
+        tok = next(toks)  # an operand starts here
+        word = tok[1]
+        if word == "~":
+            stack.append((_UNARY, Not, None))
+            continue
+        if word == "[" or word == "(":
+            stack.append((-1, ")" if word == "(" else "]", None))
+            continue
+        if word == "Kw" or word == "K":
+            _expect(next(toks), "[", ("[",))
+            _, agent, offset = _expect(next(toks), "word", ("agent name",))
+            if not _IDENT_RE.match(agent):
+                raise ParseError(f"bad agent name {agent!r}", offset, ("agent name",))
+            _expect(next(toks), "]", ("]",))
+            stack.append((_UNARY, Kw if word == "Kw" else K, agent))
+            continue
+        if tok[0] != "word":  # tested before the call, as an operand is most often a word
+            _expect(tok, "word", ("~", "[", "(", "Kw", "K", "top", "bot", "proposition"))
+        if word == "top" or word == "bot":
+            f = TOP if word == "top" else BOT
+        elif _IDENT_RE.match(word):
+            f = Prop(word)
+        else:
+            raise ParseError(f"bad proposition name {word!r}", tok[2])
+        while True:  # f is read; build what binds to it before the next token
+            tok = next(toks)
+            level = _LEVEL.get(tok[1], -1)
+            # a right associative connective leaves one of its own level waiting
+            floor = level + _CONNECTIVES[level][2] if level >= 0 else 0
+            while stack[-1][0] >= floor:
+                _, build, arg = stack.pop()
+                f = build(f) if arg is None else build(arg, f)
+            if level >= 0:
+                stack.append((level, _CONNECTIVES[level][0], f))
+                break
+            closer = stack.pop()[1]
+            if not closer:
+                if tok[0] != "eof":
+                    raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+                return f
+            _expect(tok, closer, (closer,))
+            if closer == "]":
+                stack.append((_UNARY, Announce, f))
+                break
 
 
 # ---------------------------------------------------------------------------

@@ -714,6 +714,8 @@ def gen_prop19(k: int, agent: str = "i") -> Derivation:
     """PLKw derivation of the k-alternative transfer rule over x1..xk, y1..yk, z."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    if not _IDENT_RE.match(agent):
+        raise ValueError(f"bad agent name {agent!r}")
     chis = [Prop(f"x{j}") for j in range(1, k + 1)]
     psis = [Prop(f"y{j}") for j in range(1, k + 1)]
     phi = Prop("z")

@@ -8,6 +8,10 @@ from typing import Iterator, Sequence
 
 from kwl import decide
 from kwl.formula import (
+    _CONNECTIVES,
+    _IDENT_RE,
+    _LEVEL,
+    _tokenize,
     BOT,
     TOP,
     And,
@@ -22,6 +26,7 @@ from kwl.formula import (
     Modal,
     Not,
     Or,
+    ParseError,
     Prop,
     Top,
     conj,
@@ -132,6 +137,96 @@ def reference_match(schema: Formula, f: Formula) -> dict | None:
         return all(match(x, y) for x, y in zip(schema.children(), f.children()))
 
     return b if match(schema, f) else None
+
+
+class _Parser:
+    """Recursive descent over the token list.
+
+    The binary connectives bind as _CONNECTIVES says, then come the unary
+    prefixes ~, Kw[i], K[i] and [f].  A parenthesis costs two stack frames.
+    """
+
+    def __init__(self, toks):
+        self.toks = toks
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str):
+        tok = self.next()
+        if tok[0] != kind and tok[1] != kind:
+            raise ParseError(f"unexpected {tok[1]!r}" if tok[1] else "unexpected end of input",
+                             tok[2], (what,))
+        return tok
+
+    def formula(self, limit: int = 0) -> Formula:
+        """A formula whose connectives sit at level limit or tighter, by
+        precedence climbing: an operand, then each following connective of
+        such a level with its right operand."""
+        left = self.unary()
+        while (level := _LEVEL.get(self.peek()[1], -1)) >= limit:
+            self.next()
+            kind, _, right_assoc = _CONNECTIVES[level]
+            left = kind(left, self.formula(level + 1 - right_assoc))
+        return left
+
+    def agent_name(self) -> str:
+        tok = self.expect("word", "agent name")
+        name = tok[1]
+        if not _IDENT_RE.match(name):
+            raise ParseError(f"bad agent name {name!r}", tok[2], ("agent name",))
+        return name
+
+    def unary(self) -> Formula:
+        kind, text, offset = self.peek()
+        if text == "~":
+            self.next()
+            return Not(self.unary())
+        if text == "[":
+            self.next()
+            announced = self.formula()
+            self.expect("]", "]")
+            return Announce(announced, self.unary())
+        if text == "(":
+            self.next()
+            inner = self.formula()
+            self.expect(")", ")")
+            return inner
+        if kind == "word":
+            self.next()
+            if text == "Kw" or text == "K":
+                self.expect("[", "[")
+                agent = self.agent_name()
+                self.expect("]", "]")
+                sub = self.unary()
+                return Kw(agent, sub) if text == "Kw" else K(agent, sub)
+            if text == "top":
+                return TOP
+            if text == "bot":
+                return BOT
+            if not _IDENT_RE.match(text):
+                raise ParseError(f"bad proposition name {text!r}", offset)
+            return Prop(text)
+        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input",
+                         offset, ("~", "[", "(", "Kw", "K", "top", "bot", "proposition"))
+
+
+def reference_parse(text: str) -> Formula:
+    """The recursive-descent parser that kwl.formula.parse replaced, kept
+    as its referee: the same node, or a ParseError with the same message,
+    offset and expected tokens, on any text it reads within the stack."""
+    parser = _Parser(_tokenize(text))
+    f = parser.formula()
+    tok = parser.peek()
+    if tok[0] != "eof":
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    return f
 
 
 def pigeonhole(holes: int) -> Formula:

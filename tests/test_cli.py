@@ -106,10 +106,13 @@ def test_malformed_model_documents(capsys, tmp_path):
 
 
 def test_deep_nesting(capsys):
-    code, out, err = run(capsys, "mc", M1, "s", "~" * 3000 + "p")
+    # parse reads any depth, and the evaluator takes a run of ~ in a loop
+    assert run(capsys, "mc", M1, "s", "p") == (1, "false\n", "")
+    assert run(capsys, "mc", M1, "s", "~" * 3000 + "p") == (1, "false\n", "")
+    # a Kw[i] chain costs semantics._ext a stack frame a level
+    code, out, err = run(capsys, "mc", M1, "s", "Kw[i]" * 3000 + "p")
     assert (code, out, err) == (2, "", "kwl: input too deeply nested\n")
-    # a parenthesis costs the parser two stack frames
-    assert run(capsys, "decide", "(" * 300 + "p" + ")" * 300) == (1, "invalid\n", "")
+    assert run(capsys, "decide", "(" * 5000 + "p" + ")" * 5000) == (1, "invalid\n", "")
 
 
 def _broken(*args, **kwargs):
@@ -194,19 +197,10 @@ def test_rewrites_take_what_parse_accepts(capsys):
     code, out, err = run(capsys, "translate", "tprime", deep)
     assert (code, out, err) == (2, "", "kwl: el_to_kw is defined on the K-only language, "
                                        "got: Kw[i]p\n")
-    # el_to_kw adds a level for each K, and the output still prints: the
-    # deepest run of ~ that kwl reduce accepts over K[i]^16 p, found by
-    # bisection in this test's own stack
-    atom = "K[i]" * 16 + "p"
-    lo, hi = 0, sys.getrecursionlimit()
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if run(capsys, "reduce", "~" * mid + atom)[0] == 0:
-            lo = mid
-        else:
-            hi = mid
-    assert lo > 900
-    text = "~" * lo + atom
+    # el_to_kw adds a level for each K, and the output still prints, on a
+    # run of ~ deeper than the interpreter's stack
+    text = "~" * 5000 + "K[i]" * 16 + "p"
+    assert run(capsys, "reduce", text) == (0, text + "\n", "")
     assert run(capsys, "translate", "tprime", text) == \
         (0, render(el_to_kw(parse(text))) + "\n", "")
 
@@ -244,6 +238,15 @@ def test_deep_letters_check_via_cli(capsys, tmp_path):
     proof = tmp_path / "deep.prf"
     proof.write_text(f"system PLKw\n\n1. {deep} | ~{deep} ; taut\n")
     assert run(capsys, "check", str(proof)) == (0, "ok\n", "")
+
+
+def test_deep_steps_check_via_cli(capsys, tmp_path):
+    # parse reads a step of any depth, and the tautology check takes a
+    # maximal Kw subformula as one letter
+    deep = "Kw[i]" * 5000 + "p"
+    proof = tmp_path / "deep.prf"
+    proof.write_text(f"system PLKw\n\n1. {deep} | ~{deep} ; taut\n2. {deep} | p ; taut\n")
+    assert run(capsys, "check", str(proof)) == (1, "", "step 2: not a boolean tautology\n")
 
 
 def test_gen_prop19_6_checks_via_cli(capsys, tmp_path):
@@ -397,7 +400,8 @@ def _formula_text(draw):
     if kind == "random":
         return _random_text(draw, draw(st.sampled_from(Language)))
     if kind == "deep":
-        # modal chains only past the parser's depth: shallower ones are slow to decide
+        # modal chains only past the depth of the recursive walks: shallower ones are
+        # slow to decide
         opener = draw(st.sampled_from(_DEEP))
         n = draw(st.integers(0, 40) if opener in "~(" else st.integers(2000, 4000))
         return opener * n + "p" + (")" * n if opener == "(" else "")

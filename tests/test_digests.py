@@ -9,7 +9,7 @@ import sys
 
 from helpers import ROOT
 
-CLI_SHA256 = "0720ff671cf77fab5b0d16ddb9960f7e88ee673cb55fffea6e692a361d65e2e0"
+CLI_SHA256 = "7e8c6b60e3a73291ff751527b8f8bc7afa896af401f005176f0c99b9c1ec5e34"
 SAT_SHA256 = "5aba26c021ae7cfe89491bfa9c3023b5e8e6dc6c4527c6d0cc1b6e577ce5e79d"
 SAT_SUMMARY = "calls 24000  satisfiable 21258  raised 0  budget 1000000  ticks 468785"
 

@@ -6,7 +6,6 @@ import dataclasses
 import gc
 import pickle
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ from helpers import (
     node_count,
     random_formula,
     reference_operators,
+    reference_parse,
 )
 from kwl import formula
 from kwl.decide import sat, valid
@@ -90,6 +90,50 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.offset == 8
+
+
+# what an edit puts into a text: every token, pieces of them, and characters
+# that no token holds
+_EDITS = ("~", "&", "|", "->", "<->", "-", "<", ">", "(", ")", "[", "]", "Kw", "K", "p", "q",
+          "I", "1", "_", " ", "top", "bot", "@")
+
+_PARSE_EDGES = ("", " ", "p", "(", ")", "[", "]", "~", "p q", "p)", "p]", "(p", "[p", "[p)",
+                "(p]", "Kw", "Kw[", "Kw[i", "Kw[i]", "Kw[I]p", "K[1x]p", "K p", "K[top]p",
+                "Top", "& p", "p -> -> q", "[p]q & r", "p @ q")
+
+
+def _parse_outcome(parser, text: str):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return str(exc), exc.offset, exc.expected
+
+
+def test_parse_agrees_with_the_reference_parser():
+    # the recursive-descent parser that parse replaced referees it: the same
+    # node, or the same error text, offset and expected tokens, on rendered
+    # random formulas, on copies of them with one to three edits, and on edges
+    rng = random.Random(1961)
+    rendered = [render(random_formula(rng, 5, props=("p", "q", "r"), agents=("i", "j"),
+                                      lang=Language.PLKwAK)) for _ in range(20_000)]
+    edited = []
+    for text in rendered:
+        for _ in range(rng.randint(1, 3)):  # a deletion, an insertion or a replacement
+            at, edit = rng.randrange(len(text) + 1), rng.randrange(3)
+            piece = "" if edit == 0 else rng.choice(_EDITS)
+            text = text[:at] + piece + text[at + (edit != 1):]
+        edited.append(text)
+    texts = rendered + edited + list(_PARSE_EDGES)
+    parsed = 0
+    for text in texts:
+        expected = _parse_outcome(reference_parse, text)
+        got = _parse_outcome(parse, text)
+        if isinstance(expected, Formula):
+            assert got is expected, text
+            parsed += 1
+        else:
+            assert got == expected, text
+    assert len(texts) == 40_028 and 20_000 < parsed < 40_000
 
 
 def test_render_pins():
@@ -295,6 +339,7 @@ def test_deep_formulas_are_walked_without_recursion():
         for _ in range(n):
             g = build(g)
         assert render(g) == text
+        assert parse(text) is g
         assert complexity(g) == weight
         reduced = reduce(g)
         assert reduced is g if type(g) is not Announce else classify_language(reduced) == Language.EL
@@ -328,16 +373,8 @@ _AT_PARSE_DEPTH = {
 def test_every_public_function_takes_what_parse_accepts():
     for atom, refused in (("Kw[i]p", {"el_to_kw", "check_derivation"}),
                           ("K[i]p", {"kw_to_el", "check_derivation"})):
-        # parse's limit, found by bisection in this test's own stack
-        lo, hi = 0, sys.getrecursionlimit()
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                parse("~" * mid + atom)
-                lo = mid
-            except RecursionError:
-                hi = mid
-        f = parse("~" * lo + atom)
+        # parse reads any depth; a run of ~ deeper than the interpreter's stack
+        f = parse("~" * 5000 + atom)
         outcomes = {}
         for name, call in _AT_PARSE_DEPTH.items():
             try:
@@ -348,13 +385,13 @@ def test_every_public_function_takes_what_parse_accepts():
             except ValueError:
                 outcomes[name] = "refused"  # outside the function's language
         assert outcomes == {name: "refused" if name in refused else "answered"
-                            for name in _AT_PARSE_DEPTH}, (atom, lo)
+                            for name in _AT_PARSE_DEPTH}, atom
 
 
 def test_the_walks_that_recurse_are_these():
     # the functions of src/kwl that call themselves, by name or as a method;
     # a call through super() is not one.  A new recursive walk is a decision:
-    # it goes on this list and on the README's.
+    # it goes on this list and on the README's.  parse reads in a loop.
     def calls_itself(fn: ast.FunctionDef) -> bool:
         for call in ast.walk(fn):
             if not isinstance(call, ast.Call):
@@ -379,8 +416,7 @@ def test_the_walks_that_recurse_are_these():
                     if isinstance(child, ast.FunctionDef) and calls_itself(child):
                         found.add(inner)
                 pending.append((child, inner))
-    assert found == {"decide._Tableau.nnf", "decide._Tableau.search", "semantics._ext",
-                     "formula._Parser.formula", "formula._Parser.unary"}
+    assert found == {"decide._Tableau.nnf", "decide._Tableau.search", "semantics._ext"}
 
 
 def test_equal_formulas_are_one_node():
@@ -441,8 +477,10 @@ def test_the_intern_table_pins_nothing():
 
 
 def test_parser_and_complexity_depth():
-    # two stack frames a parenthesis
-    assert parse("(" * 180 + "p" + ")" * 180) == P
+    # parse takes no stack frame per level, whatever the shape
+    assert parse("(" * 100_000 + "p" + ")" * 100_000) is P
+    text = "~" * 100_000 + "p"
+    assert render(parse(text)) == text
     deep = parse("~" * 700 + "p")
     assert complexity(deep) == 701
     assert complexity(Kw("i", deep)) == 703

@@ -30,6 +30,7 @@ from kwl.formula import (
     Not,
     Or,
     Prop,
+    agents_of,
     conj,
     disj,
     fold,
@@ -847,6 +848,19 @@ def test_gen_prop19():
         " & Kw[i](x1 -> y1) & Kw[i](x2 -> y2) -> Kw[i]y1 | Kw[i]y2")
     with pytest.raises(ValueError):
         gen_prop19(0)
+
+
+def test_gen_prop19_takes_only_agent_names_that_parse_reads():
+    for agent in ("I", "Q", "1x", "k w"):
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="bad agent name"):
+                gen_prop19(k, agent)
+    for agent in ("j", "ab1"):
+        for k in (1, 2):
+            d = gen_prop19(k, agent)
+            assert check_derivation(d) == d.steps[-1].formula
+            assert agents_of(d.steps[-1].formula) == {agent}
+            assert parse_derivation(format_derivation(d)) == d
 
 
 def test_mutated_corpus_step_is_rejected():
