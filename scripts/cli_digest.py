@@ -46,6 +46,14 @@ TEXT_FORMULAS = ("[p]q", "[p][q]r", "[p]K[i]q", "Kw[i]p", "K[i]p", "p &", "Kw[i]
 COMMANDS = ("mc", "decide", "sat", "reduce", "translate", "check", "frame", "fixtures")
 
 
+def balanced_disjunctions(lo: int, hi: int) -> str:
+    """The text of a balanced conjunction of (p_k | q_k) for lo <= k < hi."""
+    if hi - lo == 1:
+        return f"(p{lo} | q{lo})"
+    mid = (lo + hi) // 2
+    return f"({balanced_disjunctions(lo, mid)} & {balanced_disjunctions(mid, hi)})"
+
+
 def hostile_models(good: dict) -> dict:
     """name -> text of a model file that kwl must refuse with exit 2."""
     docs = {
@@ -108,6 +116,10 @@ def invocations(tmp: str) -> list[list[str]]:
     calls += [["check", os.path.join(tmp, "missing.prf")]]
     for f in TEXT_FORMULAS:
         calls += [["reduce", f], ["translate", "t", f], ["translate", "tprime", f]]
+    # deep input: the model checker and the normal form pass take a stack
+    # frame per Kw level, and the search none per split
+    calls += [["mc", "fixtures/m1.json", "s", "Kw[i]" * 3000 + "p"],
+              ["decide", "Kw[i]" * 3000 + "p"], ["sat", balanced_disjunctions(0, 1200)]]
     return calls
 
 

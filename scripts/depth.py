@@ -3,11 +3,12 @@
 For each checkout and each n of DEPTHS, a fresh interpreter with the
 checkout's src/ on PYTHONPATH and its root as working directory runs
 valid(Kw[i]^n p, K) once.  Its search has one open branch of 2n+1 worlds
-below n split levels, and the normal form pass and the search take stack
-frames per level, so the call runs in one thread with a 256 MiB stack after
-sys.setrecursionlimit(60_000).  The script prints the verdict, the prefixes,
-the seconds of the call, and the process's peak RSS (ru_maxrss) in MB.  A
-checkout whose call fails stops the script.  Standard library only:
+below n split levels.  The search runs in a loop, but the normal form pass
+takes stack frames per level, so the call runs in one thread with a 256 MiB
+stack after sys.setrecursionlimit(60_000).  The script prints the verdict,
+the prefixes, the seconds of the call, and the process's peak RSS
+(ru_maxrss) in MB.  A checkout whose call fails stops the script.  Standard
+library only:
 
     python3 scripts/depth.py CHECKOUT [CHECKOUT ...]
 """

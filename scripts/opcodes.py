@@ -8,12 +8,12 @@ and its root as working directory takes three counts:
 - valid on the conclusion of gen_prop19(3) over each of the ten frame
   classes, the tableau work that dominates the decide benchmark;
 - load: load_model and then frame_properties, as `kwl frame` runs them, on
-  one model document that this script writes before the checkouts run.  It
-  is drawn from a fixed seed as bench/gen.py draws the modelcheck models:
-  100 worlds, agent i's relation an equivalence with blocks of 4 worlds,
-  agent j's two random successors per world (600 edges in all), and p, q and
-  r each true at 50 worlds; with the seed 1 it is the document that
-  random_model(random.Random(1), 100, ["p", "q", "r"]) returns.  json.loads
+  one model document that this script writes before the checkouts run, with
+  the benchmark's generator of modelcheck models, bench/gen.py's
+  random_model(random.Random(1), 100, ("p", "q", "r")): 100 worlds, agent
+  i's relation an equivalence with blocks of 4 worlds, agent j's two random
+  successors per world (600 edges in all), and p, q and r each true at 50
+  worlds.  json.loads
   parses the text in C, so the parse itself is not counted, only the 93
   instructions (CPython 3.11) of its Python wrappers; the count covers the
   loader's Python code from the parsed document to the masks, and the
@@ -36,6 +36,9 @@ import random
 import subprocess
 import sys
 import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
+from gen import random_model  # noqa: E402
 
 # the loops run in the frame that arms the tracer, which is itself not traced,
 # so only the instructions inside the counted calls are counted; argv[1] is
@@ -71,23 +74,6 @@ print(counted(check_derivation, [(d,) for d in ds]),
 """
 
 SEED = 1
-WORLDS = 100
-BLOCK = 4  # agent i's equivalence blocks
-OUT_DEGREE = 2  # agent j's successors per world
-PROPS = ("p", "q", "r")
-
-
-def model_document(rng: random.Random) -> dict:
-    """A model document drawn as bench/gen.py's random_model draws one."""
-    worlds = [f"w{k}" for k in range(WORLDS)]
-    order = list(range(WORLDS))
-    rng.shuffle(order)
-    blocks = [order[start:start + BLOCK] for start in range(0, WORLDS, BLOCK)]
-    rel_i = [[worlds[s], worlds[t]] for members in blocks for s in members for t in members]
-    rel_j = [[worlds[s], worlds[t]] for s in range(WORLDS)
-             for t in sorted(rng.sample(range(WORLDS), OUT_DEGREE))]
-    val = {p: sorted(rng.sample(worlds, WORLDS // 2), key=worlds.index) for p in PROPS}
-    return {"worlds": worlds, "agents": ["i", "j"], "rel": {"i": rel_i, "j": rel_j}, "val": val}
 
 
 def counts(checkout: str, document: str) -> tuple[int, int, int]:
@@ -109,7 +95,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         document = os.path.join(tmp, "model.json")
         with open(document, "w", encoding="utf-8") as fh:
-            json.dump(model_document(random.Random(SEED)), fh)
+            json.dump(random_model(random.Random(SEED), 100, ("p", "q", "r")), fh)
         print(f"{'checkout':<{width}}  {'check_derivation':>16}  {'valid':>11}  {'load':>9}")
         for checkout in checkouts:
             proofs, decide, load = counts(checkout, document)

@@ -8,7 +8,9 @@ valid's), and prints one SHA-256 digest of every call's verdict, prefix and
 branch counts, model as compact JSON, or exception type and text.  Two
 checkouts that print the same digest gave the same answers with the same
 work.  The summary line also gives the budget ticks that the calls took in
-all (the sum of each tableau's work), which the digest leaves out.
+all (the sum of each answer's ticks, counting budget + 1 for a call that ran
+out of budget and none for one that raised another exception), which the
+digest leaves out.
 Standard library only; run from the repository root:
 
     PYTHONPATH=src:tests python3 scripts/sat_digest.py [--out FILE]
@@ -26,8 +28,7 @@ import random
 import sys
 
 from helpers import random_formula
-from kwl import decide
-from kwl.decide import sat
+from kwl.decide import BudgetExceeded, sat
 from kwl.formula import Language, Not, render
 from kwl.semantics import FrameClass
 
@@ -36,24 +37,17 @@ BUDGET = 10**6
 FORMULAS = 1200  # a third per language; with negations and classes, 24,000 calls
 LANGUAGES = (Language.PLKw, Language.PLKwK, Language.PLKwA)
 
-tableaux = []  # each call's tableau, until its work is summed
-
-
-class _Counted(decide._Tableau):
-    def __init__(self, *args):
-        super().__init__(*args)
-        tableaux.append(self)
-
-
-def record(f, frame_class: FrameClass) -> str:
-    """One call's line: the formula, the class, and what sat answered."""
+def record(f, frame_class: FrameClass) -> tuple[str, int]:
+    """One call's line, the formula, the class and what sat answered, and
+    the ticks that the call spent."""
     head = f"{render(f)}\t{frame_class.value}\t"
     try:
         r = sat(f, frame_class, budget=BUDGET)
     except Exception as exc:  # an exception is an answer to digest too
-        return head + f"raises {type(exc).__name__}: {exc}"
+        spent = BUDGET + 1 if isinstance(exc, BudgetExceeded) else 0
+        return head + f"raises {type(exc).__name__}: {exc}", spent
     model = "-" if r.model is None else json.dumps(r.model.to_dict(), separators=(",", ":"))
-    return head + f"{r.satisfiable}\t{r.prefixes}\t{r.branches}\t{model}"
+    return head + f"{r.satisfiable}\t{r.prefixes}\t{r.branches}\t{model}", r.ticks
 
 
 def main(argv=None) -> int:
@@ -65,19 +59,17 @@ def main(argv=None) -> int:
     digest = hashlib.sha256()
     lines = []
     raised = satisfiable = ticks = 0
-    decide._Tableau = _Counted
     for n in range(FORMULAS):
         f = random_formula(rng, rng.randint(2, 5), props=("p", "q", "r"),
                            agents=("i", "j"), lang=LANGUAGES[n % len(LANGUAGES)])
         for g in (f, Not(f)):
             for frame_class in FrameClass:
-                line = record(g, frame_class)
+                line, spent = record(g, frame_class)
                 digest.update(line.encode() + b"\n")
                 lines.append(line)
                 raised += "\traises " in line
                 satisfiable += "\tTrue\t" in line
-                while tableaux:
-                    ticks += tableaux.pop().work
+                ticks += spent
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")

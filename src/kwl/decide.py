@@ -87,6 +87,7 @@ class DecisionResult:
     model: Optional[KripkeModel]
     prefixes: int
     branches: int
+    ticks: int
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,7 @@ class Validity:
     countermodel: Optional[KripkeModel]
     prefixes: int
     branches: int
+    ticks: int
 
 
 # The kinds of normal-form nodes, in complementary pairs: the complement of
@@ -139,9 +141,7 @@ class _Tableau:
         self.transitive = FrameProperty.TRANSITIVE in props
         self.euclidean = FrameProperty.EUCLIDEAN in props
         self.serial = FrameProperty.SERIAL in props
-        self.prefixes = 0
-        self.branches = 0
-        self.work = 0
+        self.prefixes = self.branches = self.work = 0
         self.nnf_memo: dict = {}
         self.kind, self.x, self.y = [], [], []
         self.codes: dict = {}
@@ -303,7 +303,8 @@ class _Tableau:
                     self._add(v, box, m | mask)
 
     def _saturate(self) -> Optional[int]:
-        """Apply the deterministic rules; the mask of a clash, or None."""
+        """Apply the deterministic rules, then _resolve_splits; the mask of a
+        clash, or None.  Entries that unit propagation forces wait in det."""
         kinds, det = self.kind, self.det
         while det:
             w, f = det.popleft()
@@ -325,7 +326,7 @@ class _Tableau:
                     return mask | other
             elif kind == _BOT:
                 return mask
-        return None
+        return self._resolve_splits()
 
     def _fire_one(self) -> bool:
         """Expand the diamonds of one world (or one seriality obligation); True on progress."""
@@ -390,38 +391,48 @@ class _Tableau:
         self.splits = pending
         return None
 
-    def search(self, level: int = 0) -> Optional[int]:
+    def search(self) -> Optional[int]:
         """None once the branch is open, which is then left as it is for
-        extract; else the mask of the splits above level that its clashes
-        depend on."""
+        extract; else the mask of the clashes that closed every branch.
+
+        One loop, over a list of choice points: one per split whose child is
+        being searched, (world, disjunction, the splits pending beside it, the
+        trail's length before it, its left child's clash or None), the n-th
+        carrying bit n.  A clash pops each point whose bit it lacks, without
+        trying that split's right child (module docstring).  At the first
+        point that it depends on, the branch is wound back to the point's
+        trail mark, and the right child is searched; or, when both children
+        have closed, their clashes without the bit go on to the next point.
+        """
+        points = []
         while True:
             clash = self._saturate()
             if clash is None:
-                clash = self._resolve_splits()
-            if clash is not None:
-                self.branches += 1
-                return clash
-            if self.det:
-                continue
-            if self.splits:
+                # forced entries to saturate, or no split pending and a diamond fired
+                if self.det or not self.splits and self._fire_one():
+                    continue
+                if not self.splits:
+                    self.branches += 1
+                    return None
+                # the left child goes on with the pending splits, the right takes a copy
                 w, f = self.splits.pop()
-                bit = 1 << level
-                mask = self.labels[w][f] | bit
-                splits, mark, clashes = self.splits, len(self.trail), 0
-                for right, piece in enumerate((self.x[f], self.y[f])):
-                    # nothing reads splits after the loop, so the right child takes it
-                    self.splits = splits if right else list(splits)
-                    self._add(w, piece, mask)
-                    found = self.search(level + 1)
-                    # an open branch, or a clash that this split's choice did not cause
-                    if found is None or not found & bit:
-                        return found
-                    clashes |= found
-                    self._undo(mark)
-                return clashes & ~bit
-            if not self._fire_one():
-                self.branches += 1
-                return None
+                points.append((w, f, list(self.splits), len(self.trail), None))
+                self._add(w, self.x[f], self.labels[w][f] | 1 << len(points) - 1)
+                continue
+            self.branches += 1
+            while True:
+                if not points:
+                    return clash
+                w, f, splits, mark, left = points.pop()
+                bit = 1 << len(points)
+                if clash & bit:
+                    if left is None:
+                        break
+                    clash = (left | clash) & ~bit
+            self._undo(mark)
+            points.append((w, f, splits, mark, clash))
+            self.splits = splits
+            self._add(w, self.y[f], self.labels[w][f] | bit)
 
     def extract(self, original: Formula, props) -> KripkeModel:
         blockers = [self._blocker(w) for w in self.labels]
@@ -471,12 +482,11 @@ def sat(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> Decision
     tab = _Tableau(frame_class, sorted(agents), budget)
     root = tab.nnf(f, False)  # nnf ticks before the root world does
     tab._add(tab._new_world(), root, 0)
-    if tab.search() is not None:
-        return DecisionResult(False, None, tab.prefixes, tab.branches)
-    return DecisionResult(True, tab.extract(f, props), tab.prefixes, tab.branches)
+    model = None if tab.search() is not None else tab.extract(f, props)
+    return DecisionResult(model is not None, model, tab.prefixes, tab.branches, tab.work)
 
 
 def valid(f: Formula, frame_class: FrameClass, *, budget: int = 10**6) -> Validity:
     """Validity of f over the class; an invalid verdict carries a countermodel."""
     r = sat(Not(f), frame_class, budget=budget)
-    return Validity(not r.satisfiable, r.model, r.prefixes, r.branches)
+    return Validity(not r.satisfiable, r.model, r.prefixes, r.branches, r.ticks)

@@ -229,6 +229,56 @@ def reference_parse(text: str) -> Formula:
     return f
 
 
+class ReferenceTableau(decide._Tableau):
+    """The tableau with the recursive search that _Tableau.search replaced,
+    kept as its referee: one stack frame per split, the split at depth level
+    carrying bit level.  Its search is the old one but for the two lines
+    that called _resolve_splits after _saturate, which now does so itself.
+    Patched in for decide._Tableau, it gives sat the same verdict, prefixes,
+    branches, ticks and model as the loop, on any input it searches within
+    the stack."""
+
+    def search(self, level: int = 0):
+        while True:
+            clash = self._saturate()
+            if clash is not None:
+                self.branches += 1
+                return clash
+            if self.det:
+                continue
+            if self.splits:
+                w, f = self.splits.pop()
+                bit = 1 << level
+                mask = self.labels[w][f] | bit
+                splits, mark, clashes = self.splits, len(self.trail), 0
+                for right, piece in enumerate((self.x[f], self.y[f])):
+                    # nothing reads splits after the loop, so the right child takes it
+                    self.splits = splits if right else list(splits)
+                    self._add(w, piece, mask)
+                    found = self.search(level + 1)
+                    # an open branch, or a clash that this split's choice did not cause
+                    if found is None or not found & bit:
+                        return found
+                    clashes |= found
+                    self._undo(mark)
+                return clashes & ~bit
+            if not self._fire_one():
+                self.branches += 1
+                return None
+
+
+def balanced_disjunctions(n: int) -> str:
+    """The text of a balanced conjunction of (p0 | q0), ..., (p(n-1) | q(n-1)):
+    about log2(n) levels of &, and n splits on its one open branch."""
+    def text(lo, hi):
+        if hi - lo == 1:
+            return f"(p{lo} | q{lo})"
+        mid = (lo + hi) // 2
+        return f"({text(lo, mid)} & {text(mid, hi)})"
+
+    return text(0, n)
+
+
 def pigeonhole(holes: int) -> Formula:
     """The pigeonhole tautology for holes + 1 pigeons: if every pigeon sits in
     some hole, two pigeons share one.  Hard for DPLL (Haken 1985)."""

@@ -14,7 +14,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ROOT, pigeonhole, random_formula
+from helpers import ROOT, balanced_disjunctions, pigeonhole, random_formula
 from kwl.cli import main
 from kwl.formula import Iff, Language, Prop, parse, render
 from kwl.proof import SYSTEMS, format_derivation, gen_prop19
@@ -109,10 +109,14 @@ def test_deep_nesting(capsys):
     # parse reads any depth, and the evaluator takes a run of ~ in a loop
     assert run(capsys, "mc", M1, "s", "p") == (1, "false\n", "")
     assert run(capsys, "mc", M1, "s", "~" * 3000 + "p") == (1, "false\n", "")
-    # a Kw[i] chain costs semantics._ext a stack frame a level
-    code, out, err = run(capsys, "mc", M1, "s", "Kw[i]" * 3000 + "p")
-    assert (code, out, err) == (2, "", "kwl: input too deeply nested\n")
+    # a Kw[i] chain costs semantics._ext, and the normal form pass, a stack
+    # frame a level
+    for command in (["mc", M1, "s"], ["decide"]):
+        code, out, err = run(capsys, *command, "Kw[i]" * 3000 + "p")
+        assert (code, out, err) == (2, "", "kwl: input too deeply nested\n"), command
     assert run(capsys, "decide", "(" * 5000 + "p" + ")" * 5000) == (1, "invalid\n", "")
+    # the search takes none per split
+    assert run(capsys, "sat", balanced_disjunctions(1200)) == (0, "satisfiable\n", "")
 
 
 def _broken(*args, **kwargs):

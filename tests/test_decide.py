@@ -15,6 +15,8 @@ import pytest
 from helpers import (
     ROOT,
     Dia,
+    ReferenceTableau,
+    balanced_disjunctions,
     close_relation,
     decode_nnf,
     enumerate_class_models,
@@ -37,6 +39,7 @@ from kwl.formula import (
     Not,
     Prop,
     conj,
+    disj,
     fold,
     parse,
     render,
@@ -186,7 +189,8 @@ def test_a_complement_lookup_ticks_nothing(fc, least):
     # the NNF misses, worlds and label entries of sat(Kw[i]^18 p): each
     # disjunct's complement is found at code ^ 1 and adds no tick
     f = _kw_chain(18)
-    assert sat(f, fc, budget=least).satisfiable
+    r = sat(f, fc, budget=least)
+    assert r.satisfiable and r.ticks == least
     with pytest.raises(BudgetExceeded):
         sat(f, fc, budget=least - 1)
 
@@ -424,6 +428,47 @@ def test_a_closed_branch_leaves_nothing_behind():
             ("w0", "w1"), {"q": ["w1"], "r": ["w0"], "s": []}), fc
 
 
+def _random_cnf(rng):
+    # 25-48 clauses of three literals over ten letters, a Kw literal in a fifth
+    def literal(atom):
+        return Not(atom) if rng.random() < 0.5 else atom
+
+    clauses = []
+    for _ in range(rng.randint(25, 48)):
+        atoms = [Prop(f"p{rng.randrange(10)}") for _ in range(3)]
+        if rng.random() < 0.2:
+            atoms[0] = Kw("i", atoms[0])
+        clauses.append(disj([literal(a) for a in atoms]))
+    return conj(clauses)
+
+
+def test_the_search_loop_agrees_with_the_recursive_referee(monkeypatch):
+    # 600 calls, 38 of them unsatisfiable, up to 253 branches each: skipping a
+    # right child, and winding back before searching one, both show here
+    rng = random.Random(0)
+    formulas = [_random_cnf(rng) for _ in range(300)]
+
+    def answers():
+        out = []
+        for f in formulas:
+            for fc in (FrameClass.K, FrameClass.S5):
+                r = sat(f, fc)
+                out.append((r.satisfiable, r.prefixes, r.branches, r.ticks,
+                            r.model and r.model.to_dict()))
+        return out
+
+    loop = answers()
+    monkeypatch.setattr("kwl.decide._Tableau", ReferenceTableau)
+    assert answers() == loop
+    assert sum(not a[0] for a in loop) == 38
+
+
+def test_a_search_takes_no_stack_frame_per_split():
+    # 1,200 splits on one open branch, deeper than the interpreter's stack
+    r = sat(parse(balanced_disjunctions(1200)), FrameClass.K)
+    assert (r.satisfiable, r.branches) == (True, 1)
+
+
 def test_a_one_branch_search_keeps_memory_linear_in_its_depth():
     # valid(Kw[i]^n p, K) has one branch of 2n+1 worlds below n split levels;
     # the search holds that branch once, not once per level above it
@@ -479,7 +524,8 @@ def test_a_complement_in_normal_form_shape_ticks_as_the_input_node():
     # complements that the split looks up later were made with those codes
     # and tick nothing
     f = parse("((p & q) | r) & ~(p & q) & ~r")
-    assert not sat(f, FrameClass.K, budget=17).satisfiable
+    r = sat(f, FrameClass.K, budget=17)
+    assert not r.satisfiable and r.ticks == 17
     with pytest.raises(BudgetExceeded):
         sat(f, FrameClass.K, budget=16)
 
