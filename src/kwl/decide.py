@@ -190,7 +190,8 @@ class _Tableau:
         only, and no ->, <->, Kw or announcement.  Memoised on (node, neg)
         for the call, so a subformula that Kw, <-> or a reduction axiom
         copies is translated once per polarity.  A memo miss ticks the
-        budget before it recurses, so a blow-up stops after budget misses.
+        budget before it recurses or rewrites, and step weighs nothing, so a
+        blow-up stops after budget misses.
         A code's complement is made with it, so it costs no tick.
         """
         while type(f) is Not:  # a ~ flips neg: no stack frame, memo entry or tick

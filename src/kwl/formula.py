@@ -50,9 +50,11 @@ class Formula:
     that node, so equal formulas are the same object, and == and hash are
     those of object: identity, in constant time at any depth.  A node's
     fields are its dataclass fields, in order (__match_args__).  The private
-    slots _ops and _weight hold the node's summaries (_summary): the mask of
-    its operators and its complexity.  Each stays unset until the first query
-    for it on a formula that holds the node.
+    slot _ops holds the _BIT mask of the operators that occur in the node,
+    set when the node is built from its children's masks.  The slot _weight
+    holds its complexity, which can be 5**n for n nested announcements: it
+    stays unset until complexity() is called on a formula that holds the
+    node.
 
     children() lists a node's immediate subformulas, left to right, and
     map(fn) returns the same node with fn applied to each of them.  Leaves
@@ -72,11 +74,16 @@ class Formula:
             if len(fields) != len(names):
                 raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}")
             node = _new(cls)
-            # a node has at most two fields; unrolled, this costs half a loop's time
+            ops = _BIT.get(cls, 0)
+            # a node has at most two fields; unrolled, this costs half a loop's time.
+            # A field that is no node (a name or an agent) has no mask.
             if names:
                 _set(node, names[0], fields[0])
+                ops |= getattr(fields[0], "_ops", 0)
                 if len(names) == 2:
                     _set(node, names[1], fields[1])
+                    ops |= getattr(fields[1], "_ops", 0)
+            _set(node, "_ops", ops)
             entry = _NODES[key] = _KeyedRef(node, _forget)
             entry.key = key
         return node
@@ -208,6 +215,10 @@ class Announce(Formula):
         return Announce(fn(self.announced), fn(self.body))
 
 
+# one bit per operator that a language may leave out: a node's _ops holds
+# the bits of the operators that occur in it
+_BIT = {Kw: 1, K: 2, Announce: 4}
+
 TOP = Top()
 BOT = Bot()
 
@@ -311,55 +322,14 @@ _ALLOWED = {
 }
 
 
-# one bit per operator that a language may leave out
-_BIT = {Kw: 1, K: 2, Announce: 4}
-# the operators outside each language, as a mask of those bits
+# the operators outside each language, as a mask of _BIT's bits
 _OUTSIDE = {lang: ~sum(_BIT[op] for op in ops) for lang, ops in _ALLOWED.items()}
 
 
-def _summary(slot: str, rule: Callable[[Formula, list], object]) -> Callable[[Formula], object]:
-    """A per-node summary kept in the private slot named slot: the value of a
-    node g is rule(g, values), values being those of g's children, left to
-    right, and never None.  The returned function reads a node's value from
-    its slot, or fills it on the first query with one fold over the nodes not
-    summarised yet, so any depth is summarised whole and each node once for
-    good."""
-
-    def fill(g: Formula, image) -> object:
-        # a child summarised before, by this pass or an earlier query, is read
-        # from its slot; fold enters only the others
-        values = []
-        for h in g.children():
-            value = getattr(h, slot, None)
-            values.append(image(h) if value is None else value)
-        value = rule(g, values)
-        _set(g, slot, value)
-        return value
-
-    def summary(f: Formula) -> object:
-        value = getattr(f, slot, None)
-        return fold(f, fill) if value is None else value
-
-    return summary
-
-
-def _mask(g: Formula, masks: list) -> int:
-    # g's own bit, if any, with its children's masks
-    ops = _BIT.get(type(g), 0)
-    for mask in masks:
-        ops |= mask
-    return ops
-
-
-# the _BIT mask of the operators that occur in a formula
-_operators = _summary("_ops", _mask)
-
-
 def in_language(f: Formula, lang: Language) -> bool:
-    """Whether every operator of f is one that lang admits.  Reads f's
-    operator summary, which is filled once per node, so a query costs O(1)
-    on a formula queried before and one visit per new node otherwise."""
-    return not _operators(f) & _OUTSIDE[lang]
+    """Whether every operator of f is one that lang admits.  Reads the
+    operator mask that f got when it was built, so a query costs O(1)."""
+    return not f._ops & _OUTSIDE[lang]
 
 
 def classify_language(f: Formula) -> Language:
@@ -369,7 +339,7 @@ def classify_language(f: Formula) -> Language:
     A purely Boolean formula sits in both EL and PLKw; EL is returned as the
     canonical answer for that corner.
     """
-    ops = _operators(f)
+    ops = f._ops
     return next(lang for lang in Language if not ops & _OUTSIDE[lang])
 
 
@@ -398,26 +368,30 @@ def agents_of(f: Formula) -> set[str]:
 # Weight of an announcement prefix.  The multiplicative clause is the usual
 # one for announcement logics; the modal clause must weigh Kw/K heavier than
 # negation (2 + c rather than 1 + c) or the Kw reduction axiom, whose right
-# hand side mentions both [f]g and [f]~g, would not shrink.  translate.step
+# hand side mentions both [f]g and [f]~g, would not shrink.  translate.reduce
 # asserts the strict decrease on every rewrite it performs.
 
 
-def _weigh(g: Formula, weights: list) -> int:
+def _weigh(g: Formula, image) -> int:
+    # a child weighed before, by this fold or an earlier call, is read from
+    # its slot; fold enters only the others.  Every weight is at least 1.
+    weights = [getattr(h, "_weight", None) or image(h) for h in g.children()]
     if type(g) is Announce:
-        return (4 + weights[0]) * weights[1]
-    return (2 if isinstance(g, Modal) else 1) + max(weights, default=0)
-
-
-_weight = _summary("_weight", _weigh)
+        weight = (4 + weights[0]) * weights[1]
+    else:
+        weight = (2 if isinstance(g, Modal) else 1) + max(weights, default=0)
+    _set(g, "_weight", weight)
+    return weight
 
 
 def complexity(f: Formula) -> int:
     """The weight of f: 1 for a leaf, 1 plus the heaviest child for ~ and the
     binary connectives, 2 plus the argument for Kw[i] and K[i], and
-    (4 + weight of a) * (weight of b) for [a]b.  Read from the node's weight
-    summary, which is filled once per node, so a shared subformula is weighed
-    once across calls and any depth is weighed whole."""
-    return _weight(f)
+    (4 + weight of a) * (weight of b) for [a]b.  Kept in each node's _weight
+    slot once weighed, so a shared subformula is weighed once across calls.
+    The first call on a node weighs the nodes not weighed yet, with one fold,
+    so any depth is weighed whole; building a node weighs nothing."""
+    return getattr(f, "_weight", None) or fold(f, _weigh)
 
 
 # ---------------------------------------------------------------------------

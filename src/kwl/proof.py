@@ -42,6 +42,7 @@ from .formula import (
     substitute,
 )
 from .semantics import FrameClass
+from .translate import step
 
 # ---------------------------------------------------------------------------
 # axiom schemas
@@ -70,16 +71,13 @@ AXIOMS: dict[str, Formula] = {
     "Kw5": Implies(Not(_kw(_PHI)), _kw(Or(Not(_kw(_PHI)), _PSI))),
     "wKw4": Implies(_kw(_PHI), _kw(_kw(_PHI))),
     "wKw5": Implies(Not(_kw(_PHI)), _kw(Not(_kw(_PHI)))),
-    "!ATOM": Iff(Announce(_PHI, _ATOM), Implies(_PHI, _ATOM)),
-    "!NEG": Iff(Announce(_PHI, Not(_PSI)),
-                Implies(_PHI, Not(Announce(_PHI, _PSI)))),
-    "!COM": Iff(Announce(_PHI, And(_PSI, _CHI)),
-                And(Announce(_PHI, _PSI), Announce(_PHI, _CHI))),
-    "!!": Iff(Announce(_PHI, Announce(_PSI, _CHI)),
-              Announce(And(_PHI, Announce(_PHI, _PSI)), _CHI)),
-    "!Kw": Iff(Announce(_PHI, _kw(_PSI)),
-               Implies(_PHI, Or(_kw(Announce(_PHI, _PSI)),
-                                _kw(Announce(_PHI, Not(_PSI)))))),
+    # the reduction axioms: each redex is equivalent to its one-step rewrite
+    **{name: Iff(redex, step(redex)) for name, redex in (
+        ("!ATOM", Announce(_PHI, _ATOM)),
+        ("!NEG", Announce(_PHI, Not(_PSI))),
+        ("!COM", Announce(_PHI, And(_PSI, _CHI))),
+        ("!!", Announce(_PHI, Announce(_PSI, _CHI))),
+        ("!Kw", Announce(_PHI, _kw(_PSI))))},
     "I1": Iff(Not(_kw(_PHI)), Not(_kw(Not(_PHI)))),
     "I2": Implies(Not(_kw(And(_PHI, _PSI))), Or(Not(_kw(_PHI)), Not(_kw(_PSI)))),
     "I3": Implies(conj([_kw(_PHI),

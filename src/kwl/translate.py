@@ -4,9 +4,11 @@ kw_to_el rewrites Kw[i]g as K[i]g | K[i]~g and is truth preserving on every
 model.  el_to_kw rewrites K[i]g as g & Kw[i]g and is truth preserving on
 reflexive models only (on a non-reflexive model the conjunct g can fail at
 the evaluation world while K[i]g holds).  step rewrites one announcement by
-the usual reduction equivalences, asserting that the weighted complexity of
-the redex strictly drops; reduce applies it until no announcement is left,
-and the negation normal form pass of kwl.decide applies it as it goes.
+the usual reduction equivalences, and weighs nothing.  reduce applies it
+until no announcement is left, asserting on every rewrite that the weighted
+complexity of the redex strictly drops; the negation normal form pass of
+kwl.decide applies it as it goes, each rewrite after a tick of its budget,
+and proof.AXIOMS states the reduction axioms as its rewrites.
 """
 
 from __future__ import annotations
@@ -67,37 +69,41 @@ def reduce(f: Formula) -> Formula:
 
     An announcement is rewritten by step before its parts are reduced, and
     the copies step makes of a part are one node, reduced once.  So the output
-    can be exponentially larger than f as a tree, but not as a DAG."""
-    return fold(f, lambda g, image: image(step(g)) if type(g) is Announce else g.map(image))
+    can be exponentially larger than f as a tree, but not as a DAG.  Asserts
+    on every rewrite that the weighted complexity strictly drops, so that
+    rewriting until no announcement is left terminates."""
+
+    def rule(g: Formula, image) -> Formula:
+        if type(g) is not Announce:
+            return g.map(image)
+        out = step(g)
+        assert complexity(out) < complexity(g), f"rewrite did not shrink: {g}"
+        return image(out)
+
+    return fold(f, rule)
 
 
 def step(redex: Announce) -> Formula:
-    """One rewrite of the redex [a]b by the reduction axiom for b's shape.
-
-    Asserts that the weighted complexity strictly drops, so that rewriting
-    until no announcement is left terminates."""
+    """One rewrite of the redex [a]b by the reduction axiom for b's shape."""
     announced, body = redex.announced, redex.body
     t = type(body)  # an if-chain on the exact type, as in semantics._ext
     if t is Top:
-        out = TOP
-    elif t is Bot:
-        out = Not(announced)
-    elif t is Prop:
-        out = Implies(announced, body)
-    elif t is Not:
-        out = Implies(announced, Not(Announce(announced, body.sub)))
-    elif t is And or t is Or or t is Implies or t is Iff:
-        out = body.map(lambda part: Announce(announced, part))
-    elif t is Kw:
-        out = Implies(
+        return TOP
+    if t is Bot:
+        return Not(announced)
+    if t is Prop:
+        return Implies(announced, body)
+    if t is Not:
+        return Implies(announced, Not(Announce(announced, body.sub)))
+    if t is And or t is Or or t is Implies or t is Iff:
+        return body.map(lambda part: Announce(announced, part))
+    if t is Kw:
+        return Implies(
             announced,
             Or(Kw(body.agent, Announce(announced, body.sub)),
                Kw(body.agent, Announce(announced, Not(body.sub)))))
-    elif t is K:
-        out = Implies(announced, K(body.agent, Announce(announced, body.sub)))
-    elif t is Announce:
-        out = Announce(And(announced, Announce(announced, body.announced)), body.body)
-    else:
-        raise TypeError(f"not a formula: {body!r}")
-    assert complexity(out) < complexity(redex), f"rewrite did not shrink: {redex}"
-    return out
+    if t is K:
+        return Implies(announced, K(body.agent, Announce(announced, body.sub)))
+    if t is Announce:
+        return Announce(And(announced, Announce(announced, body.announced)), body.body)
+    raise TypeError(f"not a formula: {body!r}")

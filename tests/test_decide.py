@@ -49,6 +49,7 @@ from kwl.proof import gen_prop19
 from kwl.semantics import (
     FrameClass,
     FrameProperty,
+    KripkeModel,
     frame_properties,
     mc,
     model_valid,
@@ -309,6 +310,38 @@ def test_agreement_with_random_models_multi_prop():
             cm = v.countermodel
             assert not mc(cm, cm.point, f)
             assert satisfies_class(cm, fc)
+
+
+def _with_self_loops(m: KripkeModel) -> KripkeModel:
+    """m with a loop added at every world that has no successor, per agent."""
+    rel = {a: [*m.rel[a], *((w, w) for w in m.worlds if not m.successors(a, w))]
+           for a in m.agents}
+    return KripkeModel(m.worlds, m.agents, rel, m.val, m.point)
+
+
+def test_k_free_formulas_cannot_tell_k_from_d_or_b():
+    """A cross-class oracle.  The paper finds that knowing-whether logic
+    cannot define many common frame properties; consistent with that, a
+    formula without K has one validity verdict over K, D and B.  A K
+    countermodel with a loop at each dead end is a D countermodel: a world
+    with at most one successor knows whether anything."""
+    rng = random.Random(10)
+    shapes = ((Language.PLKw, ("i",)), (Language.PLKw, ("i", "j")), (Language.PLKwA, ("i",)))
+    disagree = []
+    for n in range(3000):
+        lang, agents = shapes[n % 3]
+        f = random_formula(rng, 4, agents=agents, lang=lang)
+        try:
+            verdicts = [valid(f, fc, budget=5000)
+                        for fc in (FrameClass.K, FrameClass.D, FrameClass.B)]
+        except BudgetExceeded:
+            continue
+        if len({v.valid for v in verdicts}) > 1:
+            disagree.append(render(f))
+        elif not verdicts[0].valid:
+            m = _with_self_loops(verdicts[0].countermodel)
+            assert satisfies_class(m, FrameClass.D) and not reference_mc(m, m.point, f), render(f)
+    assert not disagree, f"{len(disagree)} disagree, the shortest {min(disagree, key=len)}"
 
 
 def test_multi_agent():

@@ -530,8 +530,10 @@ def test_operator_summary_agrees_with_a_full_walk():
 def test_operator_summary_at_the_edges():
     q = Prop("q_summary_edge")
     announced = Announce(P, q)
-    # building a node summarises nothing
-    assert not hasattr(q, "_ops") and not hasattr(q, "_weight")
+    # building a node sets its operator mask (Kw 1, K 2, announcement 4) and
+    # weighs nothing
+    assert q._ops == 0 and announced._ops == 4 and Kw("i", announced)._ops == 5
+    assert not hasattr(q, "_weight") and not hasattr(announced, "_weight")
     assert classify_language(announced) == Language.PLKwA
     assert complexity(announced) == 5
     # q was summarised under an announcement; Kw[i]q must not inherit it

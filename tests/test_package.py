@@ -69,7 +69,7 @@ def test_each_entry_loads_only_the_modules_it_runs():
     base = ["kwl", "kwl.cli", "kwl.formula", "kwl.semantics"]
     for argv, extra in ((["mc", "fixtures/m1.json", "s", "Kw[i]q"], []),
                         (["frame", "fixtures/m1.json"], []),
-                        (["check", "proofs/lemma17.prf"], ["kwl.proof"]),
+                        (["check", "proofs/lemma17.prf"], ["kwl.proof", "kwl.translate"]),
                         (["decide", "Kw[i]p"], ["kwl.decide", "kwl.translate"])):
         run = f"import kwl.cli; assert kwl.cli.main({argv!r}) in (0, 1)"
         assert _loaded(run) == sorted(base + extra), argv

@@ -97,6 +97,18 @@ def test_system_registry():
     assert SYSTEMS["PLKw"].rules == {"mp", "neckw", "rekw", "sub", "taut", "pc"}
 
 
+def test_the_reduction_axioms_read_as_written():
+    # AXIOMS states them as Iff(redex, step(redex)), so a change to
+    # translate.step shows here as a change of text
+    assert {name: render(AXIOMS[name]) for name in ("!ATOM", "!NEG", "!COM", "!!", "!Kw")} == {
+        "!ATOM": "[PHI]ATOM <-> PHI -> ATOM",
+        "!NEG": "[PHI]~PSI <-> PHI -> ~[PHI]PSI",
+        "!COM": "[PHI](PSI & CHI) <-> [PHI]PSI & [PHI]CHI",
+        "!!": "[PHI][PSI]CHI <-> [PHI & [PHI]PSI]CHI",
+        "!Kw": "[PHI]Kw[I]PSI <-> PHI -> Kw[I][PHI]PSI | Kw[I][PHI]~PSI",
+    }
+
+
 def test_match_axiom_pins():
     b = match_axiom("KwCon", parse("Kw[i](p -> q) & Kw[i](~p -> q) -> Kw[i]q"))
     assert b == {"CHI": Prop("p"), "PHI": Prop("q"), "I": "i"}

@@ -17,7 +17,9 @@ from kwl.formula import (
     complexity,
     parse,
     render,
+    subformulas,
 )
+from kwl.decide import BudgetExceeded, sat
 from kwl.proof import match_axiom
 from kwl.semantics import FrameClass, KripkeModel, mc
 from kwl.translate import el_to_kw, kw_to_el, reduce, step
@@ -173,3 +175,25 @@ def test_nested_announcement_pin():
     assert render(reduce(parse("[p][q]r"))) == "p & (p -> q) -> r"
     f = parse("[p & [p]q]r")
     assert reduce(f) == reduce(parse("[p][q]r"))
+
+
+def test_sat_weighs_no_formula():
+    # step weighs nothing, so sat's budget bounds its rewriting: at a budget of
+    # 1 a chain of 20,000 announcements stops after two nnf misses, and not
+    # one of its nodes has been weighed (a weight here would be 5**20000)
+    f = parse("[p_unweighed]" * 20000 + "q_unweighed")
+    with pytest.raises(BudgetExceeded):
+        sat(f, FrameClass.K, budget=1)
+    assert not any(hasattr(g, "_weight") for g in subformulas(f))
+
+
+def test_reduce_checks_that_each_rewrite_shrinks(monkeypatch):
+    # a rewrite that gives its redex back: reduce's check stops it, and in sat
+    # every rewrite follows a tick, so the budget stops it
+    monkeypatch.setattr("kwl.translate.step", lambda redex: redex)
+    monkeypatch.setattr("kwl.decide.step", lambda redex: redex)
+    f = parse("[p]q")
+    with pytest.raises(AssertionError, match="rewrite did not shrink"):
+        reduce(f)
+    with pytest.raises(BudgetExceeded):
+        sat(f, FrameClass.K, budget=100)
